@@ -47,22 +47,35 @@ fn main() {
             &rows,
         );
         // Each policy's internal state on the first mix, via the typed
-        // snapshot API (what the spill counts above look like from inside).
+        // snapshot API (what the spill counts above look like from inside),
+        // with the per-core behaviour it produced.
         let snaps = parallel_map(Policy::HEADLINE.to_vec(), |p| {
             let mut sys = CmpSystem::from_sources(
                 cfg.clone(),
                 p.build(&cfg),
                 mix_sources(&mixes[0], scale.seed),
             );
-            sys.run(scale.instrs, scale.warmup);
-            (p.label(), sys.policy().snapshot())
+            let r = sys.run(scale.instrs, scale.warmup);
+            (p.label(), sys.policy().snapshot(), r)
         });
         println!(
             "\npolicy state after mix {} ({cores} cores):",
             mixes[0].name
         );
-        for (label, snap) in &snaps {
+        for (label, snap, r) in &snaps {
             println!("  {label:8} {}", snapshot_summary(snap));
+            for c in &r.cores {
+                println!(
+                    "    {:16} cpi={:.3} mpki={:6.2} l2acc={:8} local={:8} remote={:7} mem={:7}",
+                    c.label,
+                    c.cpi(),
+                    c.l2_mpki(),
+                    c.l2_accesses,
+                    c.l2_local_hits,
+                    c.l2_remote_hits,
+                    c.l2_mem
+                );
+            }
         }
     }
     ExperimentRecord {

@@ -15,7 +15,8 @@ fn per_set_misses(bench: SpecBench, ways: u16, scale: Scale) -> Vec<u64> {
     cfg.l2 = CacheGeometry::new(4096, ways, 32).expect("valid");
     cfg.track_set_stats = true;
     let w = bench.workload(0, scale.seed);
-    let mut sys = CmpSystem::new(cfg, Box::new(cmp_cache::PrivateBaseline::new()), vec![w]);
+    let mut sys =
+        CmpSystem::from_sources(cfg, Box::new(cmp_cache::PrivateBaseline::new()), vec![w]);
     sys.run(scale.instrs, scale.warmup);
     sys.l2(CoreId(0))
         .set_stats()

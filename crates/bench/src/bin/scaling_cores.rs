@@ -1,29 +1,27 @@
-//! Core-count scaling study: ASCC from 2 to 64 cores on both coherence
-//! fabrics (broadcast snooping vs the sharer-bitmask directory).
+//! Core-count scaling study: ASCC from 2 to 64 cores on the sharer-bitmask
+//! directory, with the paper's broadcast bus as a closed-form comparison.
 //!
 //! The paper evaluates at 2 and 4 cores; this experiment extends the same
 //! system configuration to 8/16/32/64 cores with synthetic `cores`-app
-//! mixes ([`cmp_trace::mixes_for`]) and reports, per width and fabric,
-//! throughput and peer-tag probes per L1 access. Broadcast probes grow as
-//! O(cores); directory probes track the actual sharer population and stay
-//! flat — the contrast this repository's directory fabric exists to show.
+//! mixes ([`cmp_trace::mixes_for`]) and reports, per width, throughput and
+//! peer-tag probes per L1 access. A broadcast bus probes every peer on
+//! every snoop, `snoops × (cores − 1)` — O(cores); directory probes track
+//! the actual sharer population and stay flat — the contrast this
+//! repository's directory fabric exists to show.
 //!
 //! `--cores N` / `ASCC_CORES=N` restricts the sweep to one width (the CI
-//! scaling smoke runs just 16). The two fabrics are bit-identical in every
-//! architectural counter, so the binary exits nonzero if accesses or
-//! snoops diverge between them, or if the directory ever probes more than
-//! broadcast — all three are deterministic, scale-independent checks.
-//! Results go to `results/scaling_cores.json`.
+//! scaling smoke runs just 16). The binary exits nonzero if the directory
+//! ever probes more than the broadcast closed form — a deterministic,
+//! scale-independent check. Results go to `results/scaling_cores.json`.
 
 use ascc_bench::cli::Cli;
-use ascc_bench::scaling::{scaling_sweep, scaling_table, ScalingRow};
+use ascc_bench::scaling::{scaling_sweep, scaling_table};
 use ascc_bench::{print_table, ExperimentRecord, Scale};
-use cmp_coherence::FabricKind;
 
 fn main() {
     let parsed = Cli::new(
         "scaling_cores",
-        "ASCC at 2..=64 cores: broadcast vs directory coherence fabric",
+        "ASCC at 2..=64 cores: directory probes vs the broadcast closed form",
     )
     .harness_flags()
     .parse();
@@ -38,7 +36,7 @@ fn main() {
         None => vec![2, 4, 8, 16, 32, 64],
     };
     println!(
-        "scaling_cores: widths {:?}, 2 fabrics, 2 mixes/width, {} base instrs/core",
+        "scaling_cores: widths {:?}, 2 mixes/width, {} base instrs/core",
         widths, scale.instrs
     );
 
@@ -49,57 +47,42 @@ fn main() {
 
     let mut regressed = false;
     let mut values = Vec::new();
-    for &cores in &widths {
-        let find = |fabric: FabricKind| -> &ScalingRow {
-            rows.iter()
-                .find(|r| r.cores == cores && r.fabric == fabric)
-                .expect("sweep covers every (width, fabric)")
-        };
-        let (b, d) = (find(FabricKind::Broadcast), find(FabricKind::Directory));
+    for r in &rows {
+        let pct = 100.0 * r.probes as f64 / r.broadcast_probes.max(1) as f64;
         println!(
-            "{} cores: directory {:.2}x broadcast throughput, {:.1}% of its probes \
+            "{} cores: directory makes {pct:.1}% of broadcast's probes \
              ({:.3} vs {:.3} probes/acc)",
-            cores,
-            d.per_sec() / b.per_sec().max(1e-9),
-            100.0 * d.probes as f64 / b.probes.max(1) as f64,
-            d.probes_per_access(),
-            b.probes_per_access(),
+            r.cores,
+            r.probes_per_access(),
+            r.broadcast_probes_per_access(),
         );
-        if b.accesses != d.accesses || b.snoops != d.snoops {
+        if r.probes > r.broadcast_probes {
             eprintln!(
-                "divergence at {cores} cores: accesses {} vs {}, snoops {} vs {}",
-                b.accesses, d.accesses, b.snoops, d.snoops
-            );
-            regressed = true;
-        }
-        if d.probes > b.probes {
-            eprintln!(
-                "regression at {cores} cores: directory probed more than broadcast ({} > {})",
-                d.probes, b.probes
+                "regression at {} cores: directory probed more than broadcast ({} > {})",
+                r.cores, r.probes, r.broadcast_probes
             );
             regressed = true;
         }
         values.push(vec![
-            b.probes_per_access(),
-            d.probes_per_access(),
-            100.0 * d.probes as f64 / b.probes.max(1) as f64,
-            b.per_sec() / 1e6,
-            d.per_sec() / 1e6,
+            r.broadcast_probes_per_access(),
+            r.probes_per_access(),
+            pct,
+            r.per_sec() / 1e6,
         ]);
     }
 
     ExperimentRecord {
         id: "scaling_cores".into(),
-        title: "Coherence scaling 2..=64 cores: broadcast vs sharer-bitmask directory (ASCC)"
-            .into(),
+        title:
+            "Coherence scaling 2..=64 cores: sharer-bitmask directory vs broadcast probes (ASCC)"
+                .into(),
         columns: vec![
             "broadcast probes/acc".into(),
             "directory probes/acc".into(),
             "directory probes %".into(),
-            "broadcast Macc/s".into(),
             "directory Macc/s".into(),
         ],
-        rows: widths.iter().map(|c| format!("{c} cores")).collect(),
+        rows: rows.iter().map(|r| format!("{} cores", r.cores)).collect(),
         values,
         paper_reference: "beyond the paper (2/4-core evaluation): broadcast probes grow O(cores), \
                           directory probes track sharers and stay flat"
@@ -108,7 +91,7 @@ fn main() {
     .save();
 
     if regressed {
-        eprintln!("scaling_cores: directory fabric regressed vs broadcast");
+        eprintln!("scaling_cores: directory probed more than the broadcast closed form");
         std::process::exit(1);
     }
 }

@@ -22,7 +22,7 @@ fn main() {
     let runs = parallel_map(jobs, |(b, p)| {
         let policy = p.unwrap_or(Policy::Baseline).build(&cfg);
         let workloads = b.workloads(threads, scale.seed);
-        let mut sys = CmpSystem::new(cfg.clone(), policy, workloads);
+        let mut sys = CmpSystem::from_sources(cfg.clone(), policy, workloads);
         sys.run(scale.instrs, scale.warmup)
     });
 

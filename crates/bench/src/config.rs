@@ -60,12 +60,6 @@ pub const FIELDS: &[Field] = &[
     },
     Field {
         flag: "",
-        env: "ASCC_BATCH",
-        json: "batch",
-        help: "batched event-loop engine on/off (default on; 0/false = per-access streaming interleave)",
-    },
-    Field {
-        flag: "",
         env: "ASCC_TRACE_ARENA_MB",
         json: "arena_mb",
         help: "trace arena byte budget in MiB (default 4096)",
@@ -111,9 +105,6 @@ pub struct RunConfig {
     pub cores: Option<usize>,
     /// Whether the materialized trace arena is enabled.
     pub trace_cache: bool,
-    /// Whether the batched event-loop engine is enabled (bit-identical to
-    /// streaming; off only for measurement or debugging).
-    pub batch: bool,
     /// Trace arena budget in MiB.
     pub arena_mb: u64,
     /// Checkpoint cadence in simulated accesses; 0 disables.
@@ -132,7 +123,6 @@ impl Default for RunConfig {
             jobs: None,
             cores: None,
             trace_cache: true,
-            batch: true,
             arena_mb: 4096,
             ckpt_every: 0,
             ckpt_dir: PathBuf::from("results/ckpt"),
@@ -157,7 +147,6 @@ impl RunConfig {
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| (1..=64).contains(&n)),
             trace_cache: var("ASCC_TRACE_CACHE").map_or(d.trace_cache, |v| v != "0"),
-            batch: var("ASCC_BATCH").map_or(d.batch, |v| v != "0"),
             arena_mb: var("ASCC_TRACE_ARENA_MB")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(d.arena_mb),
@@ -185,12 +174,6 @@ impl RunConfig {
     /// Enables or disables the materialized trace arena.
     pub fn with_trace_cache(mut self, on: bool) -> Self {
         self.trace_cache = on;
-        self
-    }
-
-    /// Enables or disables the batched event-loop engine.
-    pub fn with_batch(mut self, on: bool) -> Self {
-        self.batch = on;
         self
     }
 
@@ -238,7 +221,6 @@ impl RunConfig {
                 "ASCC_TRACE_CACHE",
                 if self.trace_cache { "1" } else { "0" }.into(),
             ),
-            ("ASCC_BATCH", if self.batch { "1" } else { "0" }.into()),
             ("ASCC_TRACE_ARENA_MB", self.arena_mb.to_string()),
             ("ASCC_CKPT_EVERY", self.ckpt_every.to_string()),
             ("ASCC_CKPT_DIR", self.ckpt_dir.display().to_string()),
@@ -274,7 +256,6 @@ impl RunConfig {
             .insert("jobs", self.jobs.map_or(0.0, |n| n as f64))
             .insert("cores", self.cores.map_or(0.0, |n| n as f64))
             .insert("trace_cache", self.trace_cache)
-            .insert("batch", self.batch)
             .insert("arena_mb", self.arena_mb as f64)
             .insert("ckpt_every", self.ckpt_every as f64)
             .insert("ckpt_dir", self.ckpt_dir.display().to_string())
@@ -315,11 +296,6 @@ impl RunConfig {
                     next.trace_cache = val
                         .as_bool()
                         .ok_or_else(|| format!("trace_cache wants a boolean, got {val}"))?;
-                }
-                "batch" => {
-                    next.batch = val
-                        .as_bool()
-                        .ok_or_else(|| format!("batch wants a boolean, got {val}"))?;
                 }
                 "arena_mb" => {
                     next.arena_mb = val.as_u64().ok_or_else(|| {
@@ -420,7 +396,6 @@ mod tests {
             .with_jobs(Some(2))
             .with_cores(Some(16))
             .with_trace_cache(false)
-            .with_batch(false)
             .with_checkpoints(1000, "ckpt")
             .with_resume(true)
             .with_out(Some(PathBuf::from("out.json")));
@@ -434,7 +409,6 @@ mod tests {
         assert_eq!(get("ASCC_JOBS"), "2");
         assert_eq!(get("ASCC_CORES"), "16");
         assert_eq!(get("ASCC_TRACE_CACHE"), "0");
-        assert_eq!(get("ASCC_BATCH"), "0");
         assert_eq!(get("ASCC_CKPT_EVERY"), "1000");
         assert_eq!(get("ASCC_CKPT_DIR"), "ckpt");
         assert_eq!(get("ASCC_RESUME"), "1");

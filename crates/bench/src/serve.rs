@@ -36,9 +36,9 @@
 //!   [`EpochRecorder`] probe, so `/snapshots/:id` and `/metrics` expose
 //!   the policy's internal dynamics while the run is still going. Any
 //!   `cores` in 1..=64 works ([`cmp_trace::mixes_for`] supplies synthetic
-//!   mixes beyond the paper's 2- and 4-core lists); optional `"fabric"`
-//!   (`"broadcast"` / `"directory"`, default directory) picks the
-//!   coherence fabric and `"l2_ways"` resizes the LLC associativity —
+//!   mixes beyond the paper's 2- and 4-core lists); an optional
+//!   `"fabric"` may only name the one coherence fabric, `"directory"`, and
+//!   `"l2_ways"` resizes the LLC associativity —
 //!   rejected with a clean 400 past the 16 ways the packed recency word
 //!   can track. A `"scenario"` field (`"steady"`, `"churn"`,
 //!   `"scan_storm"`, `"flash_crowd"`, `"diurnal"`) replays multi-tenant
@@ -51,9 +51,8 @@ use crate::{manifest::RunManifest, Policy, RunConfig, Scale};
 use ascc_serve::http::{HttpServer, Request, Response, ShutdownHandle};
 use ascc_serve::prometheus::{MetricKind, MetricsText};
 use cmp_cache::{CacheGeometry, ObsEvent, ObsProbe, PolicySnapshot, MAX_WAYS};
-use cmp_coherence::FabricKind;
 use cmp_json::Value;
-use cmp_sim::{batch_enabled, mix_sources, tenant_sources, CmpSystem, EpochRecorder, SystemConfig};
+use cmp_sim::{mix_sources, tenant_sources, CmpSystem, EpochRecorder, SystemConfig};
 use cmp_trace::{mixes_for, TenantScenario, WorkloadMix};
 use std::io;
 use std::path::PathBuf;
@@ -409,13 +408,11 @@ impl DaemonState {
         if !(1..=64).contains(&cores) {
             return Err(format!("cores must be 1..=64, got {cores}"));
         }
-        let fabric = match spec.get("fabric").map(Value::as_str) {
-            None => FabricKind::Directory,
-            Some(Some("directory")) => FabricKind::Directory,
-            Some(Some("broadcast")) => FabricKind::Broadcast,
-            Some(f) => return Err(format!("unknown fabric {f:?}; known: broadcast, directory")),
-        };
-        let mut cfg = SystemConfig::table2(cores).with_fabric(fabric);
+        match spec.get("fabric").map(Value::as_str) {
+            None | Some(Some("directory")) => {}
+            Some(f) => return Err(format!("unknown fabric {f:?}; known: directory")),
+        }
+        let mut cfg = SystemConfig::table2(cores);
         if let Some(w) = spec
             .get("l2_ways")
             .map(|v| v.as_u64().ok_or("\"l2_ways\" wants a way count"))
@@ -530,19 +527,14 @@ impl DaemonState {
                 LiveProbe(Arc::clone(&recorder)),
                 epoch,
             );
-            // Refresh the live access counter from each hook (the batched
-            // engine fires it with flushed state every METRICS_EVERY global
-            // accesses; the streaming fallback after every access).
-            let live = |sys: &mut CmpSystem<LiveProbe>| {
+            // Refresh the live access counter from each hook (the engine
+            // fires it with flushed state every METRICS_EVERY global
+            // accesses).
+            const METRICS_EVERY: u64 = 4096;
+            let outcome = sys.try_run_batched(instrs, warmup, METRICS_EVERY, |sys| {
                 accesses.store(sys.total_accesses(), Ordering::Relaxed);
                 !cancel.load(Ordering::Relaxed)
-            };
-            const METRICS_EVERY: u64 = 4096;
-            let outcome = if batch_enabled() {
-                sys.try_run_batched(instrs, warmup, METRICS_EVERY, live)
-            } else {
-                sys.try_run_with_hook(instrs, warmup, live)
-            };
+            });
             accesses.store(sys.total_accesses(), Ordering::Relaxed);
             drop(sys);
             recorder.lock().expect("recorder lock").finish();
@@ -917,6 +909,7 @@ mod tests {
         assert!(expect_err(r#"{"kind": "mix", "cores": 65}"#).contains("cores must be 1..=64"));
         assert!(expect_err(r#"{"kind": "mix", "cores": 0}"#).contains("cores must be 1..=64"));
         assert!(expect_err(r#"{"kind": "mix", "fabric": "mesh"}"#).contains("unknown fabric"));
+        assert!(expect_err(r#"{"kind": "mix", "fabric": "broadcast"}"#).contains("unknown fabric"));
         let e = expect_err(r#"{"kind": "mix", "l2_ways": 17}"#);
         assert!(e.contains("recency word"), "{e}");
         assert!(expect_err(r#"{"kind": "mix", "mix": 99}"#).contains("out of range"));

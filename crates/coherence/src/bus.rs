@@ -1,13 +1,16 @@
-//! The broadcast snoop bus over a group of private same-level caches.
+//! The protocol vocabulary of the paper's MESI bus, shared by every
+//! coherence operation of [`DirectoryFabric`](crate::DirectoryFabric).
 //!
 //! The paper's platform uses a "MESI-based broadcasting" protocol (Table 2):
 //! every miss is broadcast, every peer cache snoops, and a hit in a peer
 //! produces a cache-to-cache transfer (a *remote hit*, 25 cycles vs 9 for a
 //! local hit). The same broadcast carries the SSL information the spilling
 //! mechanism needs, which is why the paper's spill candidate search is free
-//! of extra traffic (§3.1).
+//! of extra traffic (§3.1). The directory reproduces that bus's outcomes
+//! exactly; only the peer-probe count differs, and under broadcast it is the
+//! closed form `snoops × (cores − 1)`.
 
-use cmp_cache::{CacheLine, CoreId, LineAddr, MesiState, SetAssocCache};
+use cmp_cache::{CacheLine, CoreId, MesiState};
 
 /// What a remote snoop found and handed to the requester.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,198 +40,27 @@ pub enum ReadPolicy {
 /// Aggregate bus statistics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct BusStats {
-    /// Broadcast snoop operations performed.
+    /// Snoop operations performed (one per miss or upgrade).
     pub snoops: u64,
     /// Cache-to-cache data transfers (remote read/write hits).
     pub transfers: u64,
     /// Remote copies invalidated by write snoops.
     pub invalidations: u64,
-    /// Peer tag arrays actually probed by miss traffic. A broadcast bus
-    /// probes every peer on every snoop (`cores - 1` per miss); a directory
-    /// only probes the caches its sharer mask names, so this is the scaling
-    /// cost the two fabrics differ on.
+    /// Peer tag arrays actually probed by miss traffic: one per holder
+    /// found or peer invalidated. The paper's broadcast bus would probe
+    /// every peer on every snoop, `snoops × (cores − 1)` in total.
     pub probes: u64,
 }
 
-/// The broadcast snoop bus.
-///
-/// The bus does not own the caches; each operation borrows the full slice of
-/// same-level private caches, mirroring how a snoop transaction touches
-/// every tag array in the chip.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SnoopBus {
-    stats: BusStats,
-}
-
-impl SnoopBus {
-    /// Creates a bus with zeroed statistics.
-    pub fn new() -> Self {
-        SnoopBus::default()
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &BusStats {
-        &self.stats
-    }
-
-    /// Zeroes statistics (end of warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = BusStats::default();
-    }
-
-    /// Serialises the bus statistics (the bus's only state) into `w`.
-    pub fn save_state(&self, w: &mut cmp_snap::SnapWriter) {
-        save_stats(&self.stats, w);
-    }
-
-    /// Restores statistics captured by [`save_state`](SnoopBus::save_state).
-    pub fn load_state(
-        &mut self,
-        r: &mut cmp_snap::SnapReader<'_>,
-    ) -> Result<(), cmp_snap::SnapError> {
-        self.stats = load_stats(r)?;
-        Ok(())
-    }
-
-    /// All caches currently holding `line`.
-    pub fn holders(&self, caches: &[SetAssocCache], line: LineAddr) -> Vec<CoreId> {
-        caches
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.probe(line).is_some())
-            .map(|(i, _)| CoreId(i as u8))
-            .collect()
-    }
-
-    /// Whether the copy held by `holder` is the last one on chip.
-    ///
-    /// Returns `false` if `holder` does not actually hold the line.
-    pub fn is_last_copy(&self, caches: &[SetAssocCache], holder: CoreId, line: LineAddr) -> bool {
-        let mut count = 0usize;
-        let mut held = false;
-        for (i, c) in caches.iter().enumerate() {
-            if c.probe(line).is_some() {
-                count += 1;
-                if i == holder.index() {
-                    held = true;
-                }
-            }
-        }
-        held && count == 1
-    }
-
-    /// Broadcasts a read miss by `requester` for `line`.
-    ///
-    /// On a remote hit the peer copy is migrated or downgraded according to
-    /// `policy` and the hit descriptor returned. On a full miss, returns
-    /// `None`; the requester should fetch from memory with the state given
-    /// by [`SnoopBus::fetch_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `requester` already holds the line (a read
-    /// miss cannot be broadcast for a resident line).
-    pub fn read_miss(
-        &mut self,
-        caches: &mut [SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-        policy: ReadPolicy,
-    ) -> Option<RemoteHit> {
-        debug_assert!(
-            caches[requester.index()].probe(line).is_none(),
-            "read_miss broadcast for a line resident at the requester"
-        );
-        self.stats.snoops += 1;
-        self.stats.probes += caches.len() as u64 - 1;
-        let owner = caches
-            .iter()
-            .enumerate()
-            .position(|(i, c)| i != requester.index() && c.probe(line).is_some())?;
-        self.stats.transfers += 1;
-        let from = CoreId(owner as u8);
-        match policy {
-            ReadPolicy::Migrate => {
-                let taken = caches[owner]
-                    .invalidate(line)
-                    .expect("probe said the line is resident");
-                Some(RemoteHit {
-                    from,
-                    line: taken,
-                    granted: taken.state,
-                })
-            }
-            ReadPolicy::Replicate => {
-                let observed = {
-                    let (s, w) = caches[owner].probe(line).expect("probed above");
-                    caches[owner].set(s).line(w).expect("valid way")
-                };
-                // M/E copies downgrade to S on a remote read (a Modified copy
-                // is written back as part of the downgrade in MESI).
-                caches[owner].set_state(line, observed.state.after_remote_read());
-                Some(RemoteHit {
-                    from,
-                    line: observed,
-                    granted: MesiState::Shared,
-                })
-            }
-        }
-    }
-
-    /// Broadcasts a write miss (or upgrade) by `requester` for `line`:
-    /// invalidates every remote copy. Returns a remote hit descriptor if a
-    /// peer supplied the data (granted state is always Modified).
-    pub fn write_miss(
-        &mut self,
-        caches: &mut [SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-    ) -> Option<RemoteHit> {
-        self.stats.snoops += 1;
-        self.stats.probes += caches.len() as u64 - 1;
-        let mut hit: Option<RemoteHit> = None;
-        for (i, cache) in caches.iter_mut().enumerate() {
-            if i == requester.index() {
-                continue;
-            }
-            if let Some(taken) = cache.invalidate(line) {
-                self.stats.invalidations += 1;
-                if hit.is_none() {
-                    self.stats.transfers += 1;
-                    hit = Some(RemoteHit {
-                        from: CoreId(i as u8),
-                        line: taken,
-                        granted: MesiState::Modified,
-                    });
-                }
-            }
-        }
-        hit
-    }
-
-    /// MESI state granted to a copy fetched from memory: Exclusive when no
-    /// peer holds the line, Shared otherwise (callers normally only fetch
-    /// from memory after [`SnoopBus::read_miss`] returned `None`, in which
-    /// case Exclusive is the answer).
-    pub fn fetch_state(
-        &self,
-        caches: &[SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-    ) -> MesiState {
-        let shared_elsewhere = caches
-            .iter()
-            .enumerate()
-            .any(|(i, c)| i != requester.index() && c.probe(line).is_some());
-        if shared_elsewhere {
-            MesiState::Shared
-        } else {
-            MesiState::Exclusive
-        }
+impl BusStats {
+    /// Peer probes the paper's broadcast bus would have made for the same
+    /// traffic: every snoop probes all `cores − 1` peers.
+    pub fn broadcast_probes(&self, cores: usize) -> u64 {
+        self.snoops * (cores as u64).saturating_sub(1)
     }
 }
 
-/// Writes `stats` in the fixed four-word wire order shared by both fabrics.
+/// Writes `stats` in the fixed four-word wire order.
 pub(crate) fn save_stats(stats: &BusStats, w: &mut cmp_snap::SnapWriter) {
     w.put_u64(stats.snoops);
     w.put_u64(stats.transfers);
@@ -251,7 +83,8 @@ pub(crate) fn load_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmp_cache::{CacheGeometry, FillKind, InsertPos};
+    use crate::DirectoryFabric;
+    use cmp_cache::{CacheGeometry, FillKind, InsertPos, LineAddr, SetAssocCache};
 
     fn caches(n: usize) -> Vec<SetAssocCache> {
         (0..n)
@@ -259,38 +92,59 @@ mod tests {
             .collect()
     }
 
-    fn put(c: &mut SetAssocCache, line: u64, state: MesiState) {
+    /// Fills `line` into `core`'s cache in `state` and records the copy in
+    /// the directory, as the engine's fill path does.
+    fn put(
+        dir: &mut DirectoryFabric,
+        cs: &mut [SetAssocCache],
+        core: u8,
+        line: u64,
+        state: MesiState,
+    ) {
+        let c = &mut cs[core as usize];
         let la = LineAddr::new(line);
         let set = c.geometry().set_of(la);
         let way = c.set(set).default_victim();
-        c.fill(
+        if let Some(victim) = c.fill(
             set,
             way,
             CacheLine::demand(la, state),
             InsertPos::Mru,
             FillKind::Demand,
-        );
+        ) {
+            dir.note_evict(CoreId(core), victim.addr);
+        }
+        dir.note_fill(CoreId(core), la);
+    }
+
+    fn dir() -> DirectoryFabric {
+        DirectoryFabric::with_capacity(64)
     }
 
     #[test]
     fn full_miss_returns_none_and_exclusive() {
         let mut cs = caches(2);
-        let mut bus = SnoopBus::new();
+        let mut bus = dir();
         let la = LineAddr::new(9);
         assert!(bus
             .read_miss(&mut cs, CoreId(0), la, ReadPolicy::Migrate)
             .is_none());
-        assert_eq!(bus.fetch_state(&cs, CoreId(0), la), MesiState::Exclusive);
+        assert_eq!(bus.fetch_state(CoreId(0), la), MesiState::Exclusive);
         assert_eq!(bus.stats().snoops, 1);
         assert_eq!(bus.stats().transfers, 0);
-        assert_eq!(bus.stats().probes, 1, "broadcast probes every peer");
+        assert_eq!(bus.stats().probes, 0, "no holder, no probe");
+        assert_eq!(
+            bus.stats().broadcast_probes(2),
+            1,
+            "broadcast probes every peer"
+        );
     }
 
     #[test]
     fn migrate_moves_the_line() {
         let mut cs = caches(2);
-        put(&mut cs[1], 5, MesiState::Modified);
-        let mut bus = SnoopBus::new();
+        let mut bus = dir();
+        put(&mut bus, &mut cs, 1, 5, MesiState::Modified);
         let hit = bus
             .read_miss(&mut cs, CoreId(0), LineAddr::new(5), ReadPolicy::Migrate)
             .unwrap();
@@ -300,14 +154,15 @@ mod tests {
             cs[1].probe(LineAddr::new(5)).is_none(),
             "copy migrated away"
         );
+        assert_eq!(bus.sharers(LineAddr::new(5)), 0, "supplier untracked");
         assert_eq!(bus.stats().transfers, 1);
     }
 
     #[test]
     fn replicate_downgrades_and_shares() {
         let mut cs = caches(2);
-        put(&mut cs[1], 5, MesiState::Exclusive);
-        let mut bus = SnoopBus::new();
+        let mut bus = dir();
+        put(&mut bus, &mut cs, 1, 5, MesiState::Exclusive);
         let hit = bus
             .read_miss(&mut cs, CoreId(0), LineAddr::new(5), ReadPolicy::Replicate)
             .unwrap();
@@ -322,24 +177,26 @@ mod tests {
     #[test]
     fn write_miss_invalidates_all_copies() {
         let mut cs = caches(3);
-        put(&mut cs[1], 5, MesiState::Shared);
-        put(&mut cs[2], 5, MesiState::Shared);
-        let mut bus = SnoopBus::new();
+        let mut bus = dir();
+        put(&mut bus, &mut cs, 1, 5, MesiState::Shared);
+        put(&mut bus, &mut cs, 2, 5, MesiState::Shared);
         let hit = bus
             .write_miss(&mut cs, CoreId(0), LineAddr::new(5))
             .unwrap();
         assert_eq!(hit.granted, MesiState::Modified);
+        assert_eq!(hit.from, CoreId(1), "lowest-index holder supplies");
         assert!(cs[1].probe(LineAddr::new(5)).is_none());
         assert!(cs[2].probe(LineAddr::new(5)).is_none());
         assert_eq!(bus.stats().invalidations, 2);
         assert_eq!(bus.stats().transfers, 1);
-        assert_eq!(bus.stats().probes, 2, "broadcast probes every peer");
+        assert_eq!(bus.stats().probes, 2, "both holders probed");
+        assert_eq!(bus.stats().broadcast_probes(3), 2);
     }
 
     #[test]
     fn write_miss_with_no_copies() {
         let mut cs = caches(2);
-        let mut bus = SnoopBus::new();
+        let mut bus = dir();
         assert!(bus
             .write_miss(&mut cs, CoreId(0), LineAddr::new(7))
             .is_none());
@@ -349,25 +206,23 @@ mod tests {
     #[test]
     fn last_copy_detection() {
         let mut cs = caches(3);
-        put(&mut cs[0], 5, MesiState::Shared);
-        let bus = SnoopBus::new();
-        assert!(bus.is_last_copy(&cs, CoreId(0), LineAddr::new(5)));
-        assert!(!bus.is_last_copy(&cs, CoreId(1), LineAddr::new(5)));
-        put(&mut cs[2], 5, MesiState::Shared);
-        assert!(!bus.is_last_copy(&cs, CoreId(0), LineAddr::new(5)));
-        assert_eq!(
-            bus.holders(&cs, LineAddr::new(5)),
-            vec![CoreId(0), CoreId(2)]
-        );
+        let mut bus = dir();
+        let la = LineAddr::new(5);
+        put(&mut bus, &mut cs, 0, 5, MesiState::Shared);
+        assert_eq!(bus.holder_count(la), 1, "core 0 holds the last copy");
+        assert_eq!(bus.sharers(la), 0b001);
+        put(&mut bus, &mut cs, 2, 5, MesiState::Shared);
+        assert_eq!(bus.holder_count(la), 2, "no longer the last copy");
+        assert_eq!(bus.sharers(la), 0b101);
     }
 
     #[test]
     fn fetch_state_shared_when_peer_holds() {
         let mut cs = caches(2);
-        put(&mut cs[1], 5, MesiState::Shared);
-        let bus = SnoopBus::new();
+        let mut bus = dir();
+        put(&mut bus, &mut cs, 1, 5, MesiState::Shared);
         assert_eq!(
-            bus.fetch_state(&cs, CoreId(0), LineAddr::new(5)),
+            bus.fetch_state(CoreId(0), LineAddr::new(5)),
             MesiState::Shared
         );
     }
@@ -375,7 +230,7 @@ mod tests {
     #[test]
     fn reset_stats_zeroes() {
         let mut cs = caches(2);
-        let mut bus = SnoopBus::new();
+        let mut bus = dir();
         bus.read_miss(&mut cs, CoreId(0), LineAddr::new(1), ReadPolicy::Migrate);
         bus.reset_stats();
         assert_eq!(*bus.stats(), BusStats::default());

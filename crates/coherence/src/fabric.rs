@@ -1,12 +1,12 @@
-//! Coherence fabrics: broadcast snooping vs a sharer-bitmask directory.
+//! The sharer-bitmask directory: the engine's one coherence fabric.
 //!
-//! The broadcast [`SnoopBus`] is the paper's platform (Table 2): every miss
-//! probes every peer tag array, so per-access coherence cost is O(cores).
-//! That is tolerable at the paper's 4 cores and fatal at the 16–64-core
-//! server configurations the scaling experiments target. The
-//! [`DirectoryFabric`] keeps a *snoop filter* — a hash table mapping each
-//! resident line to the bitmask of private caches holding it — so miss
-//! traffic touches only O(sharers) caches while producing **bit-identical**
+//! The paper's platform broadcasts every miss to every peer tag array
+//! (Table 2), so per-access coherence cost is O(cores). That is tolerable
+//! at the paper's 4 cores and fatal at the 16–64-core server
+//! configurations the scaling experiments target. [`DirectoryFabric`] keeps
+//! a *snoop filter* — a hash table mapping each resident line to the
+//! bitmask of private caches holding it — so miss traffic touches only
+//! O(sharers) caches while producing exactly the broadcast bus's
 //! architectural results:
 //!
 //! * the broadcast owner search scans caches in ascending core index and
@@ -15,175 +15,16 @@
 //! * write-miss invalidation walks set bits in ascending order, matching the
 //!   broadcast's ascending scan;
 //! * memory fetch state (Exclusive vs Shared) depends only on whether any
-//!   peer holds the line, which a mask popcount answers exactly.
+//!   peer holds the line, which a mask test answers exactly.
 //!
-//! Only [`BusStats::probes`] differs between the fabrics — it *is* the
-//! metric the scaling study compares.
+//! Only [`BusStats::probes`] would differ: the broadcast bus probes
+//! `cores − 1` peers per snoop ([`BusStats::broadcast_probes`]), the
+//! directory one per holder it actually touches. The spec-literal
+//! `cmp-oracle` model is the reference these outcomes are checked against.
 
 use cmp_cache::{CoreId, LineAddr, MesiState, SetAssocCache, SetIdx};
 
-use crate::bus::{load_stats, save_stats, BusStats, ReadPolicy, RemoteHit, SnoopBus};
-
-/// Which coherence fabric a system runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FabricKind {
-    /// Spec-literal broadcast snooping: every miss probes every peer.
-    Broadcast,
-    /// Sharer-bitmask directory: misses probe only the recorded holders.
-    #[default]
-    Directory,
-}
-
-impl FabricKind {
-    /// Stable single-byte encoding used in snapshot fingerprints.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            FabricKind::Broadcast => 0,
-            FabricKind::Directory => 1,
-        }
-    }
-
-    /// Inverse of [`FabricKind::as_u8`].
-    pub fn from_u8(raw: u8) -> Option<Self> {
-        match raw {
-            0 => Some(FabricKind::Broadcast),
-            1 => Some(FabricKind::Directory),
-            _ => None,
-        }
-    }
-
-    /// Short lower-case label (`broadcast` / `directory`) for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            FabricKind::Broadcast => "broadcast",
-            FabricKind::Directory => "directory",
-        }
-    }
-}
-
-/// The operations a coherence fabric offers the CMP engine.
-///
-/// Implemented by the broadcast [`SnoopBus`], the sharer-bitmask
-/// [`DirectoryFabric`], and the dispatching [`Fabric`] enum the engine
-/// embeds. All three produce bit-identical architectural outcomes; they
-/// differ only in how many peer tag arrays each miss touches (the
-/// [`BusStats::probes`] counter).
-pub trait CoherenceFabric {
-    /// Which fabric this is.
-    fn kind(&self) -> FabricKind;
-
-    /// Statistics so far.
-    fn stats(&self) -> &BusStats;
-
-    /// Zeroes statistics (end of warmup).
-    fn reset_stats(&mut self);
-
-    /// Number of caches currently holding `line` (requester included).
-    fn holder_count(&self, caches: &[SetAssocCache], line: LineAddr) -> usize;
-
-    /// Services a read miss by `requester`; see [`SnoopBus::read_miss`].
-    fn read_miss(
-        &mut self,
-        caches: &mut [SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-        policy: ReadPolicy,
-    ) -> Option<RemoteHit>;
-
-    /// Services a write miss or upgrade; see [`SnoopBus::write_miss`].
-    fn write_miss(
-        &mut self,
-        caches: &mut [SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-    ) -> Option<RemoteHit>;
-
-    /// MESI state granted to a copy fetched from memory.
-    fn fetch_state(&self, caches: &[SetAssocCache], requester: CoreId, line: LineAddr)
-        -> MesiState;
-
-    /// Records that `core`'s cache gained a copy of `line` (demand fill,
-    /// spill receive, or swap). No-op on the broadcast bus.
-    fn note_fill(&mut self, core: CoreId, line: LineAddr);
-
-    /// Records that `core`'s cache lost its copy of `line` through an
-    /// eviction the fabric did not itself perform. No-op on the broadcast
-    /// bus.
-    fn note_evict(&mut self, core: CoreId, line: LineAddr);
-
-    /// Rebuilds any derived tracking state from the caches themselves (used
-    /// after a snapshot restore). Returns `Err` if previously loaded state
-    /// is inconsistent with the caches.
-    fn sync(&mut self, caches: &[SetAssocCache]) -> Result<(), cmp_snap::SnapError>;
-
-    /// Serialises fabric state into `w`.
-    fn save_state(&self, w: &mut cmp_snap::SnapWriter);
-
-    /// Restores state captured by `save_state`.
-    fn load_state(&mut self, r: &mut cmp_snap::SnapReader<'_>) -> Result<(), cmp_snap::SnapError>;
-}
-
-impl CoherenceFabric for SnoopBus {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Broadcast
-    }
-
-    fn stats(&self) -> &BusStats {
-        SnoopBus::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        SnoopBus::reset_stats(self)
-    }
-
-    fn holder_count(&self, caches: &[SetAssocCache], line: LineAddr) -> usize {
-        caches.iter().filter(|c| c.probe(line).is_some()).count()
-    }
-
-    fn read_miss(
-        &mut self,
-        caches: &mut [SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-        policy: ReadPolicy,
-    ) -> Option<RemoteHit> {
-        SnoopBus::read_miss(self, caches, requester, line, policy)
-    }
-
-    fn write_miss(
-        &mut self,
-        caches: &mut [SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-    ) -> Option<RemoteHit> {
-        SnoopBus::write_miss(self, caches, requester, line)
-    }
-
-    fn fetch_state(
-        &self,
-        caches: &[SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-    ) -> MesiState {
-        SnoopBus::fetch_state(self, caches, requester, line)
-    }
-
-    fn note_fill(&mut self, _core: CoreId, _line: LineAddr) {}
-
-    fn note_evict(&mut self, _core: CoreId, _line: LineAddr) {}
-
-    fn sync(&mut self, _caches: &[SetAssocCache]) -> Result<(), cmp_snap::SnapError> {
-        Ok(())
-    }
-
-    fn save_state(&self, w: &mut cmp_snap::SnapWriter) {
-        SnoopBus::save_state(self, w)
-    }
-
-    fn load_state(&mut self, r: &mut cmp_snap::SnapReader<'_>) -> Result<(), cmp_snap::SnapError> {
-        SnoopBus::load_state(self, r)
-    }
-}
+use crate::bus::{load_stats, save_stats, BusStats, ReadPolicy, RemoteHit};
 
 /// Open-addressing map from line address to a 64-bit sharer mask.
 ///
@@ -449,26 +290,30 @@ impl DirectoryFabric {
             }
         }
     }
-}
 
-impl CoherenceFabric for DirectoryFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Directory
-    }
-
-    fn stats(&self) -> &BusStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
+    /// Zeroes statistics (end of warmup).
+    pub fn reset_stats(&mut self) {
         self.stats = BusStats::default();
     }
 
-    fn holder_count(&self, _caches: &[SetAssocCache], line: LineAddr) -> usize {
+    /// Number of caches currently holding `line` (requester included).
+    #[inline]
+    pub fn holder_count(&self, line: LineAddr) -> usize {
         self.table.get(line).count_ones() as usize
     }
 
-    fn read_miss(
+    /// Services a read miss by `requester` for `line`.
+    ///
+    /// On a remote hit the lowest-index peer holding the line supplies it,
+    /// and its copy is migrated or downgraded according to `policy`. On a
+    /// full miss, returns `None`; the requester then fetches from memory
+    /// with the state given by [`DirectoryFabric::fetch_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `requester` already holds the line (a read
+    /// miss cannot be issued for a resident line).
+    pub fn read_miss(
         &mut self,
         caches: &mut [SetAssocCache],
         requester: CoreId,
@@ -509,6 +354,8 @@ impl CoherenceFabric for DirectoryFabric {
                         .expect("directory tracked a holder");
                     caches[owner].set(s).line(w).expect("valid way")
                 };
+                // M/E copies downgrade to S on a remote read (a Modified
+                // copy is written back as part of the downgrade in MESI).
                 caches[owner].set_state(line, observed.state.after_remote_read());
                 Some(RemoteHit {
                     from,
@@ -519,7 +366,10 @@ impl CoherenceFabric for DirectoryFabric {
         }
     }
 
-    fn write_miss(
+    /// Services a write miss (or upgrade) by `requester` for `line`:
+    /// invalidates every remote copy. Returns a remote hit descriptor if a
+    /// peer supplied the data (granted state is always Modified).
+    pub fn write_miss(
         &mut self,
         caches: &mut [SetAssocCache],
         requester: CoreId,
@@ -556,12 +406,9 @@ impl CoherenceFabric for DirectoryFabric {
         hit
     }
 
-    fn fetch_state(
-        &self,
-        _caches: &[SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-    ) -> MesiState {
+    /// MESI state granted to a copy fetched from memory: Exclusive when no
+    /// peer holds the line, Shared otherwise.
+    pub fn fetch_state(&self, requester: CoreId, line: LineAddr) -> MesiState {
         if self.table.get(line) & !(1u64 << requester.index()) != 0 {
             MesiState::Shared
         } else {
@@ -569,16 +416,25 @@ impl CoherenceFabric for DirectoryFabric {
         }
     }
 
-    fn note_fill(&mut self, core: CoreId, line: LineAddr) {
+    /// Records that `core`'s cache gained a copy of `line` (demand fill,
+    /// spill receive, or swap).
+    #[inline]
+    pub fn note_fill(&mut self, core: CoreId, line: LineAddr) {
         self.table.insert(line, core);
     }
 
-    fn note_evict(&mut self, core: CoreId, line: LineAddr) {
+    /// Records that `core`'s cache lost its copy of `line` through an
+    /// eviction the fabric did not itself perform.
+    #[inline]
+    pub fn note_evict(&mut self, core: CoreId, line: LineAddr) {
         let had = self.table.remove(line, core);
         debug_assert!(had, "note_evict for an untracked copy");
     }
 
-    fn sync(&mut self, caches: &[SetAssocCache]) -> Result<(), cmp_snap::SnapError> {
+    /// Rebuilds the sharer table from the caches themselves (used after a
+    /// snapshot restore). Returns `Err` if a previously loaded digest does
+    /// not match the rebuilt table.
+    pub fn sync(&mut self, caches: &[SetAssocCache]) -> Result<(), cmp_snap::SnapError> {
         self.rebuild(caches);
         if let Some((len, digest)) = self.pending_check.take() {
             if self.table.len() as u64 != len || self.table.digest() != digest {
@@ -590,129 +446,25 @@ impl CoherenceFabric for DirectoryFabric {
         Ok(())
     }
 
-    fn save_state(&self, w: &mut cmp_snap::SnapWriter) {
+    /// Serialises the statistics plus the table's length and digest into
+    /// `w` (the table itself is derived state, rebuilt by [`sync`]).
+    ///
+    /// [`sync`]: DirectoryFabric::sync
+    pub fn save_state(&self, w: &mut cmp_snap::SnapWriter) {
         save_stats(&self.stats, w);
         w.put_u64(self.table.len() as u64);
         w.put_u64(self.table.digest());
     }
 
-    fn load_state(&mut self, r: &mut cmp_snap::SnapReader<'_>) -> Result<(), cmp_snap::SnapError> {
+    /// Restores state captured by [`save_state`](DirectoryFabric::save_state);
+    /// the digest is checked at the next [`sync`](DirectoryFabric::sync).
+    pub fn load_state(
+        &mut self,
+        r: &mut cmp_snap::SnapReader<'_>,
+    ) -> Result<(), cmp_snap::SnapError> {
         self.stats = load_stats(r)?;
         self.pending_check = Some((r.get_u64()?, r.get_u64()?));
         Ok(())
-    }
-}
-
-/// The engine-facing fabric: a closed enum over both implementations so the
-/// hot path dispatches statically (no vtable per miss).
-#[derive(Clone, Debug)]
-pub enum Fabric {
-    /// Spec-literal broadcast snooping.
-    Broadcast(SnoopBus),
-    /// Sharer-bitmask directory.
-    Directory(DirectoryFabric),
-}
-
-impl Fabric {
-    /// Builds the fabric `kind` names, pre-sized for `lines_hint` aggregate
-    /// resident lines (ignored by the broadcast bus).
-    pub fn new(kind: FabricKind, lines_hint: usize) -> Self {
-        match kind {
-            FabricKind::Broadcast => Fabric::Broadcast(SnoopBus::new()),
-            FabricKind::Directory => Fabric::Directory(DirectoryFabric::with_capacity(lines_hint)),
-        }
-    }
-
-    /// Statistics so far (inherent mirror of the trait method, so callers
-    /// outside the engine don't need the trait in scope).
-    pub fn stats(&self) -> &BusStats {
-        match self {
-            Fabric::Broadcast(b) => b.stats(),
-            Fabric::Directory(d) => d.stats(),
-        }
-    }
-
-    /// Which fabric this is.
-    pub fn kind(&self) -> FabricKind {
-        match self {
-            Fabric::Broadcast(_) => FabricKind::Broadcast,
-            Fabric::Directory(_) => FabricKind::Directory,
-        }
-    }
-}
-
-macro_rules! dispatch {
-    ($self:expr, $f:ident ( $($arg:expr),* )) => {
-        match $self {
-            Fabric::Broadcast(b) => CoherenceFabric::$f(b, $($arg),*),
-            Fabric::Directory(d) => CoherenceFabric::$f(d, $($arg),*),
-        }
-    };
-}
-
-impl CoherenceFabric for Fabric {
-    fn kind(&self) -> FabricKind {
-        dispatch!(self, kind())
-    }
-
-    fn stats(&self) -> &BusStats {
-        dispatch!(self, stats())
-    }
-
-    fn reset_stats(&mut self) {
-        dispatch!(self, reset_stats())
-    }
-
-    fn holder_count(&self, caches: &[SetAssocCache], line: LineAddr) -> usize {
-        dispatch!(self, holder_count(caches, line))
-    }
-
-    fn read_miss(
-        &mut self,
-        caches: &mut [SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-        policy: ReadPolicy,
-    ) -> Option<RemoteHit> {
-        dispatch!(self, read_miss(caches, requester, line, policy))
-    }
-
-    fn write_miss(
-        &mut self,
-        caches: &mut [SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-    ) -> Option<RemoteHit> {
-        dispatch!(self, write_miss(caches, requester, line))
-    }
-
-    fn fetch_state(
-        &self,
-        caches: &[SetAssocCache],
-        requester: CoreId,
-        line: LineAddr,
-    ) -> MesiState {
-        dispatch!(self, fetch_state(caches, requester, line))
-    }
-
-    fn note_fill(&mut self, core: CoreId, line: LineAddr) {
-        dispatch!(self, note_fill(core, line))
-    }
-
-    fn note_evict(&mut self, core: CoreId, line: LineAddr) {
-        dispatch!(self, note_evict(core, line))
-    }
-
-    fn sync(&mut self, caches: &[SetAssocCache]) -> Result<(), cmp_snap::SnapError> {
-        dispatch!(self, sync(caches))
-    }
-
-    fn save_state(&self, w: &mut cmp_snap::SnapWriter) {
-        dispatch!(self, save_state(w))
-    }
-
-    fn load_state(&mut self, r: &mut cmp_snap::SnapReader<'_>) -> Result<(), cmp_snap::SnapError> {
-        dispatch!(self, load_state(r))
     }
 }
 
@@ -803,32 +555,27 @@ mod tests {
 
     #[test]
     fn directory_read_miss_matches_broadcast_owner() {
-        // Holders at cores 2 and 1: both fabrics must pick core 1.
-        let mut cs_bus = caches(4);
-        let mut cs_dir = caches(4);
-        let mut bus = SnoopBus::new();
+        // Holders at cores 2 and 1: the broadcast's ascending scan stops at
+        // core 1, and so must the directory's lowest-set-bit pick.
+        let mut cs = caches(4);
         let mut dir = DirectoryFabric::with_capacity(64);
-        for &(core, line) in &[(2u8, 5u64), (1, 5)] {
-            put(&mut dir, &mut cs_dir[core as usize], CoreId(core), line);
-            let la = LineAddr::new(line);
-            let set = cs_bus[core as usize].geometry().set_of(la);
-            let way = cs_bus[core as usize].set(set).default_victim();
-            cs_bus[core as usize].fill(
-                set,
-                way,
-                CacheLine::demand(la, MesiState::Shared),
-                InsertPos::Mru,
-                FillKind::Demand,
-            );
+        for core in [2u8, 1] {
+            put(&mut dir, &mut cs[core as usize], CoreId(core), 5);
         }
         let la = LineAddr::new(5);
-        let hb = bus.read_miss(&mut cs_bus, CoreId(0), la, ReadPolicy::Migrate);
-        let hd =
-            CoherenceFabric::read_miss(&mut dir, &mut cs_dir, CoreId(0), la, ReadPolicy::Migrate);
-        assert_eq!(hb, hd, "owner choice must be bit-identical");
-        assert_eq!(hb.unwrap().from, CoreId(1));
+        let hit = dir
+            .read_miss(&mut cs, CoreId(0), la, ReadPolicy::Migrate)
+            .unwrap();
+        assert_eq!(hit.from, CoreId(1));
+        assert!(cs[1].probe(la).is_none(), "owner's copy migrated");
+        assert!(cs[2].probe(la).is_some(), "other holder untouched");
+        assert_eq!(dir.sharers(la), 0b100);
         assert_eq!(dir.stats().probes, 1, "directory probed only the owner");
-        assert_eq!(bus.stats().probes, 3, "broadcast probed every peer");
+        assert_eq!(
+            dir.stats().broadcast_probes(4),
+            3,
+            "broadcast would probe every peer"
+        );
     }
 
     #[test]
@@ -842,7 +589,7 @@ mod tests {
             put(&mut dir, &mut cs[core as usize], CoreId(core), 5);
         }
         let la = LineAddr::new(5);
-        let hit = CoherenceFabric::write_miss(&mut dir, &mut cs, CoreId(0), la).unwrap();
+        let hit = dir.write_miss(&mut cs, CoreId(0), la).unwrap();
         assert_eq!(hit.from, CoreId(1), "lowest-index peer supplies");
         assert_eq!(dir.stats().invalidations, 2);
         assert_eq!(dir.stats().probes, 2);
@@ -857,14 +604,10 @@ mod tests {
         let mut cs = caches(2);
         let mut dir = DirectoryFabric::with_capacity(64);
         let la = LineAddr::new(9);
-        assert!(
-            CoherenceFabric::read_miss(&mut dir, &mut cs, CoreId(0), la, ReadPolicy::Migrate)
-                .is_none()
-        );
-        assert_eq!(
-            CoherenceFabric::fetch_state(&dir, &cs, CoreId(0), la),
-            MesiState::Exclusive
-        );
+        assert!(dir
+            .read_miss(&mut cs, CoreId(0), la, ReadPolicy::Migrate)
+            .is_none());
+        assert_eq!(dir.fetch_state(CoreId(0), la), MesiState::Exclusive);
         assert_eq!(dir.stats().snoops, 1);
         assert_eq!(dir.stats().probes, 0, "no sharers, no probes");
     }
@@ -875,15 +618,12 @@ mod tests {
         let mut dir = DirectoryFabric::with_capacity(64);
         put(&mut dir, &mut cs[1], CoreId(1), 5);
         let la = LineAddr::new(5);
-        let hit =
-            CoherenceFabric::read_miss(&mut dir, &mut cs, CoreId(0), la, ReadPolicy::Replicate)
-                .unwrap();
+        let hit = dir
+            .read_miss(&mut cs, CoreId(0), la, ReadPolicy::Replicate)
+            .unwrap();
         assert_eq!(hit.granted, MesiState::Shared);
         assert_eq!(dir.sharers(la), 0b10, "peer copy stays tracked");
-        assert_eq!(
-            CoherenceFabric::fetch_state(&dir, &cs, CoreId(0), la),
-            MesiState::Shared
-        );
+        assert_eq!(dir.fetch_state(CoreId(0), la), MesiState::Shared);
     }
 
     #[test]
@@ -894,12 +634,12 @@ mod tests {
             put(&mut dir, &mut cs[core as usize], CoreId(core), line);
         }
         let mut w = cmp_snap::SnapWriter::new();
-        CoherenceFabric::save_state(&dir, &mut w);
+        dir.save_state(&mut w);
         let bytes = w.into_bytes();
 
         let mut restored = DirectoryFabric::with_capacity(64);
         let mut r = cmp_snap::SnapReader::new(&bytes);
-        CoherenceFabric::load_state(&mut restored, &mut r).unwrap();
+        restored.load_state(&mut r).unwrap();
         restored.sync(&cs).unwrap();
         assert_eq!(
             restored.sharers(LineAddr::new(1)),
@@ -910,23 +650,8 @@ mod tests {
         // Perturb a cache: the digest check must now fail.
         let mut restored2 = DirectoryFabric::with_capacity(64);
         let mut r2 = cmp_snap::SnapReader::new(&bytes);
-        CoherenceFabric::load_state(&mut restored2, &mut r2).unwrap();
+        restored2.load_state(&mut r2).unwrap();
         cs[2].invalidate(LineAddr::new(9)).unwrap();
         assert!(restored2.sync(&cs).is_err(), "digest mismatch detected");
-    }
-
-    #[test]
-    fn fabric_kind_round_trips() {
-        for kind in [FabricKind::Broadcast, FabricKind::Directory] {
-            assert_eq!(FabricKind::from_u8(kind.as_u8()), Some(kind));
-        }
-        assert_eq!(FabricKind::from_u8(7), None);
-        assert_eq!(FabricKind::default(), FabricKind::Directory);
-        let f = Fabric::new(FabricKind::Directory, 16);
-        assert_eq!(f.kind(), FabricKind::Directory);
-        assert_eq!(
-            Fabric::new(FabricKind::Broadcast, 16).kind(),
-            FabricKind::Broadcast
-        );
     }
 }

@@ -1,16 +1,16 @@
 //! Property-based protocol test: random load/store sequences through the
-//! snoop bus keep the MESI invariants, in both migration and replication
+//! directory fabric keep the MESI invariants, in both migration and replication
 //! modes, including under replacements (small caches force evictions).
 
 use cmp_cache::{
     CacheGeometry, CacheLine, CoreId, FillKind, InsertPos, LineAddr, MesiState, SetAssocCache,
 };
-use cmp_coherence::{assert_coherent, ReadPolicy, SnoopBus};
+use cmp_coherence::{assert_coherent, DirectoryFabric, ReadPolicy};
 use proptest::prelude::*;
 
 struct World {
     caches: Vec<SetAssocCache>,
-    bus: SnoopBus,
+    bus: DirectoryFabric,
     policy: ReadPolicy,
 }
 
@@ -19,7 +19,7 @@ impl World {
         let geom = CacheGeometry::new(2, 2, 32).unwrap(); // tiny: lots of evictions
         World {
             caches: (0..cores).map(|_| SetAssocCache::new(geom)).collect(),
-            bus: SnoopBus::new(),
+            bus: DirectoryFabric::with_capacity(cores * geom.lines() as usize),
             policy,
         }
     }
@@ -28,15 +28,18 @@ impl World {
         let c = &mut self.caches[core.index()];
         let set = c.geometry().set_of(line);
         let way = c.set(set).default_victim();
-        // Evictions drop the line silently here; coherence-wise that is a
-        // plain write-back, which never violates MESI.
-        c.fill(
+        // Evictions are plain write-backs, which never violate MESI; the
+        // directory only has to hear about them to keep its masks exact.
+        if let Some(victim) = c.fill(
             set,
             way,
             CacheLine::demand(line, state),
             InsertPos::Mru,
             FillKind::Demand,
-        );
+        ) {
+            self.bus.note_evict(core, victim.addr);
+        }
+        self.bus.note_fill(core, line);
     }
 
     fn load(&mut self, core: CoreId, line: LineAddr) {
@@ -49,7 +52,7 @@ impl World {
         {
             Some(hit) => self.fill(core, line, hit.granted),
             None => {
-                let st = self.bus.fetch_state(&self.caches, core, line);
+                let st = self.bus.fetch_state(core, line);
                 self.fill(core, line, st);
             }
         }
@@ -86,11 +89,23 @@ fn ops(cores: u8, lines: u64) -> impl Strategy<Value = Vec<Op>> {
 fn run(policy: ReadPolicy, cores: u8, script: Vec<Op>) {
     let mut w = World::new(cores as usize, policy);
     for op in script {
-        match op {
-            Op::Load(c, l) => w.load(CoreId(c), LineAddr::new(l)),
-            Op::Store(c, l) => w.store(CoreId(c), LineAddr::new(l)),
-        }
+        let la = match op {
+            Op::Load(c, l) => {
+                w.load(CoreId(c), LineAddr::new(l));
+                LineAddr::new(l)
+            }
+            Op::Store(c, l) => {
+                w.store(CoreId(c), LineAddr::new(l));
+                LineAddr::new(l)
+            }
+        };
         assert_coherent(&w.caches);
+        let held = w.caches.iter().filter(|c| c.probe(la).is_some()).count();
+        assert_eq!(
+            w.bus.holder_count(la),
+            held,
+            "directory drifted from the caches"
+        );
     }
 }
 
@@ -121,8 +136,8 @@ fn migration_keeps_single_copy_for_private_data() {
     }
     for line in 0..32u64 {
         let la = LineAddr::new((line % 2) << 32 | line);
-        let holders = w.bus.holders(&w.caches, la);
-        assert!(holders.len() <= 1, "line {la} has {holders:?}");
+        let holders = w.bus.holder_count(la);
+        assert!(holders <= 1, "line {la} has {holders} copies");
     }
 }
 
@@ -133,9 +148,9 @@ fn store_after_shared_read_leaves_one_modified_copy() {
     w.load(CoreId(0), la);
     w.load(CoreId(1), la);
     w.load(CoreId(2), la);
-    assert_eq!(w.bus.holders(&w.caches, la).len(), 3);
+    assert_eq!(w.bus.holder_count(la), 3);
     w.store(CoreId(1), la);
-    assert_eq!(w.bus.holders(&w.caches, la), vec![CoreId(1)]);
+    assert_eq!(w.bus.sharers(la), 1 << 1, "only core 1 holds it");
     assert_eq!(w.caches[1].state_of(la), Some(MesiState::Modified));
     assert_coherent(&w.caches);
 }

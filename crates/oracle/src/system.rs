@@ -48,11 +48,6 @@ pub struct OracleConfig {
     pub lat_mem: u32,
     /// Migrate remote hits (multiprogrammed) instead of replicating.
     pub migrate: bool,
-    /// Model the sharer-bitmask directory instead of the broadcast bus.
-    /// The protocol outcome is identical either way (the oracle's map *is*
-    /// a directory); only the `probes` accounting differs: a broadcast
-    /// probes every peer per snoop, a directory only the known holders.
-    pub directory: bool,
     /// Per-core CPU models (`cores` entries).
     pub cpu: Vec<OracleCpu>,
 }
@@ -165,16 +160,12 @@ impl OracleSystem {
 
     /// Read-miss broadcast: the lowest-index peer holding the line serves
     /// it, migrating (invalidate + hand over) or replicating (downgrade to
-    /// Shared, grant Shared).
+    /// Shared, grant Shared). Probes are counted the directory way: one for
+    /// the holder found, none on a full miss.
     fn bus_read_miss(&mut self, requester: usize, line: u64) -> Option<RemoteHit> {
         self.snoops += 1;
-        if !self.cfg.directory {
-            self.probes += self.cfg.cores as u64 - 1;
-        }
         let owner = self.holders(line).into_iter().find(|&i| i != requester)?;
-        if self.cfg.directory {
-            self.probes += 1;
-        }
+        self.probes += 1;
         self.transfers += 1;
         if self.cfg.migrate {
             let taken = self.l2[owner].invalidate(line).expect("holder has it");
@@ -195,13 +186,10 @@ impl OracleSystem {
         }
     }
 
-    /// Write-miss / upgrade broadcast: every peer copy is invalidated; the
-    /// lowest-index peer that held one supplies the data.
+    /// Write-miss / upgrade broadcast: every peer copy is invalidated (one
+    /// probe each); the lowest-index peer that held one supplies the data.
     fn bus_write_miss(&mut self, requester: usize, line: u64) -> Option<RemoteHit> {
         self.snoops += 1;
-        if !self.cfg.directory {
-            self.probes += self.cfg.cores as u64 - 1;
-        }
         let mut hit: Option<RemoteHit> = None;
         for i in 0..self.cfg.cores {
             if i == requester {
@@ -209,9 +197,7 @@ impl OracleSystem {
             }
             if let Some(taken) = self.l2[i].invalidate(line) {
                 self.invalidations += 1;
-                if self.cfg.directory {
-                    self.probes += 1;
-                }
+                self.probes += 1;
                 if hit.is_none() {
                     self.transfers += 1;
                     hit = Some(RemoteHit {
@@ -283,6 +269,36 @@ impl OracleSystem {
         }
         let clock = c.clock as u64;
         self.policy.on_cycle(core, clock);
+    }
+
+    /// Runs `n` accesses under the spec's scheduler: before every access,
+    /// the core with the lowest clock goes next, and on a tie the lowest
+    /// core index wins. Core `c` replays `scripts[c]` — `(byte address,
+    /// is_store)` pairs — cyclically from its start; a core with an empty
+    /// script issues loads of address 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scripts` does not have one entry per core.
+    pub fn run_interleaved(&mut self, scripts: &[Vec<(u64, bool)>], n: u64) {
+        assert_eq!(scripts.len(), self.cfg.cores, "one script per core");
+        let mut next = vec![0usize; self.cfg.cores];
+        for _ in 0..n {
+            let mut core = 0;
+            for c in 1..self.cfg.cores {
+                if self.cores[c].clock < self.cores[core].clock {
+                    core = c;
+                }
+            }
+            let script = &scripts[core];
+            let (addr, store) = if script.is_empty() {
+                (0, false)
+            } else {
+                script[next[core] % script.len()]
+            };
+            next[core] += 1;
+            self.step(core, addr, store);
+        }
     }
 
     /// One L2 access; returns its latency and whether the line should be
@@ -523,7 +539,6 @@ mod tests {
                 lat_l2_remote: 25,
                 lat_mem: 460,
                 migrate: true,
-                directory: false,
                 cpu: vec![
                     OracleCpu {
                         mem_fraction: 1.0,
@@ -561,6 +576,24 @@ mod tests {
     }
 
     #[test]
+    fn interleave_picks_lowest_clock_and_lowest_index_on_ties() {
+        let mut sys = tiny();
+        // Clocks tie at 0: core 0 goes first. Its miss stalls it for
+        // hundreds of cycles, so core 1 (empty script: loads of address 0)
+        // runs next, misses too, and both sit at the same clock again.
+        sys.run_interleaved(&[vec![(0x100, false)], Vec::new()], 2);
+        let s = sys.snapshot();
+        assert_eq!((s.cores[0].l1_accesses, s.cores[1].l1_accesses), (1, 1));
+        assert!(sys.l2[1].probe(0).is_some(), "core 1 loaded address 0");
+        assert_eq!(sys.cores[0].clock, sys.cores[1].clock);
+        // The tie goes to core 0 again, whose one-entry script cycles: an
+        // L1 hit this time.
+        sys.run_interleaved(&[vec![(0x100, false)], Vec::new()], 1);
+        let s = sys.snapshot();
+        assert_eq!((s.cores[0].l1_accesses, s.cores[0].l1_hits), (2, 1));
+    }
+
+    #[test]
     fn remote_hit_migrates() {
         let mut sys = tiny();
         sys.step(0, 0x100, false);
@@ -568,6 +601,7 @@ mod tests {
         let s = sys.snapshot();
         assert_eq!(s.cores[1].l2_remote_hits, 1);
         assert_eq!(s.bus.1, 1); // one transfer
+        assert_eq!(s.bus.3, 1); // one probe: only the holder
         assert!(sys.l2[0].probe(0x100 >> 5).is_none());
         assert!(sys.l2[1].probe(0x100 >> 5).is_some());
     }

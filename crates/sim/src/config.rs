@@ -1,7 +1,7 @@
 //! System configuration (the paper's Table 2).
 
 use cmp_cache::{CacheGeometry, PrefetchConfig};
-use cmp_coherence::{FabricKind, ReadPolicy};
+use cmp_coherence::ReadPolicy;
 
 /// Configuration of a [`crate::CmpSystem`].
 #[derive(Clone, Debug)]
@@ -25,10 +25,6 @@ pub struct SystemConfig {
     pub prefetch: Option<PrefetchConfig>,
     /// Track per-set L2 statistics (Fig. 2; costs memory).
     pub track_set_stats: bool,
-    /// Coherence fabric: broadcast snooping (spec-literal, O(cores) probes
-    /// per miss) or the sharer-bitmask directory (O(sharers), bit-identical
-    /// results). The directory is the default.
-    pub fabric: FabricKind,
 }
 
 impl SystemConfig {
@@ -49,14 +45,7 @@ impl SystemConfig {
             read_policy: ReadPolicy::Migrate,
             prefetch: None,
             track_set_stats: false,
-            fabric: FabricKind::Directory,
         }
-    }
-
-    /// Same architecture on the other coherence fabric.
-    pub fn with_fabric(mut self, fabric: FabricKind) -> Self {
-        self.fabric = fabric;
-        self
     }
 
     /// Same architecture with a different L2 capacity (Table 4 sweeps
@@ -92,14 +81,6 @@ mod tests {
         assert_eq!(c.lat_l2_remote, 25);
         assert_eq!(c.lat_mem, 460);
         assert_eq!(c.read_policy, ReadPolicy::Migrate);
-    }
-
-    #[test]
-    fn directory_fabric_is_the_default() {
-        let c = SystemConfig::table2(4);
-        assert_eq!(c.fabric, FabricKind::Directory);
-        let b = c.with_fabric(FabricKind::Broadcast);
-        assert_eq!(b.fabric, FabricKind::Broadcast);
     }
 
     #[test]

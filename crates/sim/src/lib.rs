@@ -2,7 +2,7 @@
 //!
 //! Ties every substrate together: [`cmp_trace`] workloads drive analytical
 //! cores over private L1/L2 hierarchies built from [`cmp_cache`] caches,
-//! kept coherent by the [`cmp_coherence`] snoop bus, with capacity sharing
+//! kept coherent by the [`cmp_coherence`] directory fabric, with capacity sharing
 //! steered by any [`cmp_cache::LlcPolicy`] (the `ascc` crate's designs or
 //! the `spill-baselines` crate's comparison points).
 //!
@@ -60,4 +60,4 @@ pub use runner::{
 };
 pub use shared::{SharedConfig, SharedLlcSystem};
 pub use sweep::{CancelToken, SweepPool};
-pub use system::{batch_enabled, CmpSystem};
+pub use system::CmpSystem;

@@ -146,18 +146,13 @@ pub fn run_sharing(
     warmup: u64,
     seed: u64,
 ) -> RunResult {
-    let sources = bench
-        .workloads_sharing(cfg.cores, seed, spec)
-        .into_iter()
-        .map(Into::into)
-        .collect();
     let desc = format!(
         "{bench:?}|d{:.3}w{:.3}|seed{seed}",
         spec.degree, spec.write_fraction
     );
     run_sources_with(
         cfg,
-        sources,
+        bench.workloads_sharing(cfg.cores, seed, spec),
         policy,
         &desc,
         instr_target,
@@ -171,20 +166,19 @@ pub fn run_sharing(
 /// name, configuration and targets — fingerprints the run's checkpoint
 /// file. [`run_mix_with`], [`run_tenant`] and [`run_sharing`] are thin
 /// wrappers choosing the sources and the description.
+///
+/// # Panics
+///
+/// Panics if the source count differs from `cfg.cores`.
 pub fn run_sources_with(
     cfg: &SystemConfig,
-    sources: Vec<CoreSource>,
+    sources: impl IntoIterator<Item = impl Into<CoreSource>>,
     policy: Box<dyn LlcPolicy>,
     desc: &str,
     instr_target: u64,
     warmup: u64,
     ckpt: Option<&Checkpointing>,
 ) -> RunResult {
-    assert_eq!(
-        cfg.cores,
-        sources.len(),
-        "config/source core count mismatch"
-    );
     let mut sys = CmpSystem::from_sources(cfg.clone(), policy, sources);
     let Some(ck) = ckpt.filter(|c| c.cadence.is_enabled()) else {
         return sys.run(instr_target, warmup);
@@ -212,29 +206,17 @@ pub fn run_sources_with(
             }
         }
     }
-    let checkpoint = |sys: &mut CmpSystem| {
-        let snap = sys.snapshot();
-        if let Err(e) = cmp_snap::atomic_write(&path, &snap) {
-            eprintln!("[ckpt] warning: cannot write {}: {e}", path.display());
-        }
-    };
-    let result = if crate::batch_enabled() {
-        // The batched engine fires its hook every N global accesses with
-        // flushed state — the same placement the streaming cadence below
-        // produces, just without a per-access callback.
-        sys.try_run_batched(instr_target, warmup, ck.cadence.every(), |sys| {
-            checkpoint(sys);
+    // The engine fires its hook every N global accesses with flushed,
+    // snapshot-able state.
+    let result = sys
+        .try_run_batched(instr_target, warmup, ck.cadence.every(), |sys| {
+            let snap = sys.snapshot();
+            if let Err(e) = cmp_snap::atomic_write(&path, &snap) {
+                eprintln!("[ckpt] warning: cannot write {}: {e}", path.display());
+            }
             true
         })
-        .expect("an always-continue hook cannot abort the run")
-    } else {
-        let mut cadence = ck.cadence;
-        sys.run_with_hook(instr_target, warmup, |sys| {
-            if cadence.tick() {
-                checkpoint(sys);
-            }
-        })
-    };
+        .expect("an always-continue hook cannot abort the run");
     // The run completed; its in-flight checkpoint is obsolete.
     let _ = std::fs::remove_file(&path);
     result

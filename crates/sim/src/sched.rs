@@ -1,7 +1,7 @@
 //! First-minimum clock scheduling for the batched event loop.
 //!
-//! The streaming loop re-runs `min_by(total_cmp)` over every core clock
-//! for each access; the batched loop needs the same pick — plus the
+//! The scheduling spec picks the lowest clock before every access (ties
+//! to the lowest core index); the batched loop needs the same pick — plus the
 //! *horizon* (minimum clock of the other cores) and its first owner —
 //! once per drain. Scanning `CoreState.clock` directly means touching
 //! one (large, scattered) core struct per core per drain, so the batched
@@ -14,25 +14,12 @@
 //! data-dependent branches.
 //!
 //! Bit-identity matters more than speed here: the pass reproduces the
-//! first-minimum semantics of the streaming scan — `min_by` keeps the
+//! first-minimum semantics of the spec's scan — `min_by` keeps the
 //! *first* of tied elements, and the horizon owner is the first peer
 //! attaining the horizon. A property test pins the fused pass against
 //! the two verbatim linear scans.
 
-/// One fused pass over the clock array, returning `(argmin, horizon,
-/// horizon_owner)`:
-///
-/// - `argmin` — the core the streaming `min_by` would schedule (first
-///   index attaining the minimum clock);
-/// - `horizon` — the minimum clock over the *other* cores, i.e. the
-///   point the drained core's clock must not pass;
-/// - `horizon_owner` — the first core attaining the horizon, which
-///   settles clock ties: the drained core keeps the schedule on an exact
-///   tie only while its index is smaller.
-///
-/// With a single core the horizon is `+∞` and the owner `usize::MAX`,
-/// matching a linear scan over an empty peer set.
-/// The streaming `min_by` pick alone: the first index attaining the
+/// The scheduler's pick alone: the first index attaining the
 /// minimum clock. The batched loop's *step mode* uses this when drains
 /// have degenerated to single accesses — there is no horizon to compute
 /// because exactly one access runs per pick, so half the comparisons of
@@ -50,6 +37,19 @@ pub(crate) fn argmin(clocks: &[f64]) -> usize {
     bi
 }
 
+/// One fused pass over the clock array, returning `(argmin, horizon,
+/// horizon_owner)`:
+///
+/// - `argmin` — the core the scheduler picks (first index attaining the
+///   minimum clock);
+/// - `horizon` — the minimum clock over the *other* cores, i.e. the
+///   point the drained core's clock must not pass;
+/// - `horizon_owner` — the first core attaining the horizon, which
+///   settles clock ties: the drained core keeps the schedule on an exact
+///   tie only while its index is smaller.
+///
+/// With a single core the horizon is `+∞` and the owner `usize::MAX`,
+/// matching a linear scan over an empty peer set.
 #[inline]
 pub(crate) fn argmin_and_horizon(clocks: &[f64]) -> (usize, f64, usize) {
     let mut best = f64::INFINITY;
@@ -77,7 +77,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The streaming loop's scheduling scan, verbatim.
+    /// The spec's scheduling scan, verbatim.
     fn scan_argmin(clocks: &[f64]) -> usize {
         let mut i = 0;
         for j in 1..clocks.len() {

@@ -12,7 +12,7 @@ use crate::metrics::{CoreResult, RunResult};
 use cmp_cache::{
     AccessKind, CacheGeometry, CacheLine, FillKind, InsertPos, LineAddr, MesiState, SetAssocCache,
 };
-use cmp_trace::{CoreSource, CoreWorkload};
+use cmp_trace::CoreSource;
 
 /// Configuration of the shared-LLC system.
 #[derive(Clone, Debug)]
@@ -87,23 +87,18 @@ impl std::fmt::Debug for SharedLlcSystem {
 }
 
 impl SharedLlcSystem {
-    /// Builds the system over streaming workloads (see
-    /// [`from_sources`](SharedLlcSystem::from_sources) for the arena-backed
-    /// front-end).
+    /// Builds the system over one per-core source each: live generators
+    /// ([`CoreWorkload`](cmp_trace::CoreWorkload)s) or arena-backed
+    /// [`CoreSource`]s.
     ///
     /// # Panics
     ///
-    /// Panics if `workloads.len() != cfg.cores`.
-    pub fn new(cfg: SharedConfig, workloads: Vec<CoreWorkload>) -> Self {
-        Self::from_sources(cfg, workloads.into_iter().map(Into::into).collect())
-    }
-
-    /// Builds the system over per-core [`CoreSource`]s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len() != cfg.cores`.
-    pub fn from_sources(cfg: SharedConfig, sources: Vec<CoreSource>) -> Self {
+    /// Panics if the source count differs from `cfg.cores`.
+    pub fn from_sources(
+        cfg: SharedConfig,
+        sources: impl IntoIterator<Item = impl Into<CoreSource>>,
+    ) -> Self {
+        let sources: Vec<CoreSource> = sources.into_iter().map(Into::into).collect();
         assert_eq!(sources.len(), cfg.cores, "one workload per core");
         SharedLlcSystem {
             l1s: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
@@ -126,16 +121,14 @@ impl SharedLlcSystem {
     }
 
     /// Runs warmup + measured instructions per core (same protocol as
-    /// [`crate::CmpSystem::run`]). Dispatches on the `ASCC_BATCH` knob
-    /// between the horizon-batched interleave (default) and the per-access
-    /// streaming one; the two produce identical access orders.
+    /// [`crate::CmpSystem::run`]) on the horizon-batched interleave.
     pub fn run(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
         assert!(instr_target > 0, "need a nonzero instruction target");
-        if crate::batch_enabled() {
-            self.interleave_batched(instr_target, warmup_instrs);
-        } else {
-            self.interleave_streaming(instr_target, warmup_instrs);
-        }
+        self.interleave_batched(instr_target, warmup_instrs);
+        self.result()
+    }
+
+    fn result(&self) -> RunResult {
         RunResult {
             policy: "shared-LLC".to_string(),
             cores: self
@@ -165,30 +158,12 @@ impl SharedLlcSystem {
         }
     }
 
-    /// One access per scheduler pick: always advance the globally-oldest
-    /// core (first-minimum clock).
-    fn interleave_streaming(&mut self, instr_target: u64, warmup_instrs: u64) {
-        loop {
-            let i = self
-                .cores
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.clock.total_cmp(&b.1.clock))
-                .map(|(i, _)| i)
-                .expect("at least one core");
-            self.step(i);
-            if self.bookkeeping(i, instr_target, warmup_instrs) {
-                break;
-            }
-        }
-    }
-
     /// Horizon-batched interleave: the scheduled core drains as long as
-    /// the streaming scheduler would keep picking it (its clock stays
-    /// below the other cores' minimum, or ties it with the smaller index),
-    /// so the argmin scan runs once per drain instead of once per access.
-    /// Access-for-access identical order to
-    /// [`interleave_streaming`](SharedLlcSystem::interleave_streaming).
+    /// the lowest-clock scheduler (ties to the lowest index) would keep
+    /// picking it — its clock stays below the other cores' minimum, or
+    /// ties it with the smaller index. The argmin scan runs once per drain
+    /// instead of once per access, and the access order is still that of
+    /// one lowest-clock pick per access.
     fn interleave_batched(&mut self, instr_target: u64, warmup_instrs: u64) {
         'sched: loop {
             let mut i = 0usize;
@@ -316,7 +291,7 @@ impl SharedLlcSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmp_trace::{CpuModel, CyclicStream};
+    use cmp_trace::{CoreWorkload, CpuModel, CyclicStream};
 
     fn workload(base: u64, region: u64) -> CoreWorkload {
         CoreWorkload {
@@ -351,7 +326,7 @@ mod tests {
     fn capacity_hungry_pair_shares_the_llc() {
         // One big loop (24 kB) + one tiny: alone the big loop would not fit
         // a 16 kB private L2, but the 32 kB shared LLC holds both.
-        let mut sys = SharedLlcSystem::new(
+        let mut sys = SharedLlcSystem::from_sources(
             cfg(2),
             vec![workload(0, 24 << 10), workload(1 << 30, 1 << 10)],
         );
@@ -363,8 +338,10 @@ mod tests {
 
     #[test]
     fn shared_hits_cost_the_interleaved_latency() {
-        let mut sys =
-            SharedLlcSystem::new(cfg(2), vec![workload(0, 4 << 10), workload(1 << 30, 512)]);
+        let mut sys = SharedLlcSystem::from_sources(
+            cfg(2),
+            vec![workload(0, 4 << 10), workload(1 << 30, 512)],
+        );
         let r = sys.run(40_000, 10_000);
         let c = &r.cores[0];
         // CPI = base + f * (1/8) * lat_llc (17 cycles).
@@ -372,10 +349,56 @@ mod tests {
         assert!((c.cpi() - expect).abs() < 0.15, "cpi {}", c.cpi());
     }
 
+    impl SharedLlcSystem {
+        /// The reference interleave: one access per scheduler pick, always
+        /// the globally-oldest core (first-minimum clock).
+        fn interleave_streaming(&mut self, instr_target: u64, warmup_instrs: u64) {
+            loop {
+                let i = self
+                    .cores
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.clock.total_cmp(&b.1.clock))
+                    .map(|(i, _)| i)
+                    .expect("at least one core");
+                self.step(i);
+                if self.bookkeeping(i, instr_target, warmup_instrs) {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_interleave_matches_lowest_clock_order() {
+        // Four cores with integral clocks tie often, so the horizon's
+        // tie-break is exercised as well as its strict bound.
+        let build = || {
+            let mut w = vec![
+                workload(0, 24 << 10),
+                workload(1 << 30, 4 << 10),
+                workload(2 << 30, 40 << 10),
+                workload(3 << 30, 512),
+            ];
+            w[2].cpu.overlap = 0.5;
+            SharedLlcSystem::from_sources(cfg(4), w)
+        };
+        let mut batched = build();
+        let mut reference = build();
+        let r = batched.run(40_000, 10_000);
+        reference.interleave_streaming(40_000, 10_000);
+        assert_eq!(r, reference.result());
+        for (b, s) in batched.cores.iter().zip(&reference.cores) {
+            assert_eq!(b.clock.to_bits(), s.clock.to_bits());
+            assert_eq!(b.cnt.l1_accesses, s.cnt.l1_accesses);
+        }
+        assert_eq!(batched.llc.stats(), reference.llc.stats());
+    }
+
     #[test]
     fn interference_is_possible_in_shared_llc() {
         // Two thrashing loops bigger than half the LLC interfere.
-        let mut sys = SharedLlcSystem::new(
+        let mut sys = SharedLlcSystem::from_sources(
             cfg(2),
             vec![workload(0, 24 << 10), workload(1 << 30, 24 << 10)],
         );

@@ -2,7 +2,7 @@
 //!
 //! A snapshot captures *everything* a [`CmpSystem`](crate::CmpSystem)
 //! needs to resume bit-identically: cache tag/meta/recency slabs and
-//! statistics, the snoop bus counters, per-core clocks and counters,
+//! statistics, the coherence fabric counters, per-core clocks and counters,
 //! warm-up bookkeeping, prefetcher tables, the policy's adaptive state
 //! (SSL counters, BIP flags, duelling counters, AVGCC granularity, QoS
 //! estimators) including its RNG stream, and the per-core trace positions

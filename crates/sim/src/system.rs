@@ -1,6 +1,6 @@
-//! The CMP simulator: private two-level hierarchies over a snoop bus, an
-//! analytical core timing model, and the spill/swap orchestration that the
-//! LLC policies steer.
+//! The CMP simulator: private two-level hierarchies kept coherent by the
+//! sharer-bitmask directory, an analytical core timing model, and the
+//! spill/swap orchestration that the LLC policies steer.
 //!
 //! ## Timing model
 //!
@@ -16,7 +16,7 @@
 //! ## Memory-system behaviour per L2 access
 //!
 //! 1. local hit (9 cycles): recency promoted, SSL/PSEL counters informed;
-//! 2. remote hit (25 cycles): found by the MESI broadcast in a peer LLC;
+//! 2. remote hit (25 cycles): found by the MESI snoop in a peer LLC;
 //!    migrated home (multiprogrammed) or replicated (multithreaded). If the
 //!    policy enables §3.2 swapping and both the requested line and the
 //!    local victim are last copies, they exchange places;
@@ -31,16 +31,13 @@ use cmp_cache::{
     MesiState, NullProbe, ObsEvent, ObsProbe, SetAssocCache, SetIdx, SpillDecision, SpillVictim,
     StridePrefetcher,
 };
-use cmp_coherence::{CoherenceFabric, Fabric, ReadPolicy};
-use cmp_trace::{CoreSource, CoreWorkload};
+use cmp_coherence::{DirectoryFabric, ReadPolicy};
+use cmp_trace::CoreSource;
 
-/// `false` when `ASCC_BATCH=0` selects the per-access streaming interleave;
-/// anything else (including unset) selects the batched event-loop
-/// front-end. Read per call — deliberately *not* latched in a `OnceLock`,
-/// so one process can time both front-ends (`sim_throughput` does).
-pub fn batch_enabled() -> bool {
-    std::env::var("ASCC_BATCH").map_or(true, |v| v != "0")
-}
+/// The snapshot fingerprint's coherence-fabric byte. The directory is the
+/// only fabric; `0` marks a snapshot taken on the retired broadcast bus,
+/// which restores as a [`SnapError::Mismatch`](cmp_snap::SnapError).
+const FABRIC_DIRECTORY: u8 = 1;
 
 /// Accesses the batched engine looks ahead in the chunk when prefetching
 /// the upcoming access's simulated L1 tag row.
@@ -173,8 +170,8 @@ enum Pause {
 
 /// Whether the drained core still holds the schedule: its clock is below
 /// the other cores' minimum, or ties it while having the smaller index —
-/// exactly the condition under which the streaming loop's first-minimum
-/// `min_by` would pick it again.
+/// exactly the condition under which the lowest-clock scheduler (ties to
+/// the lowest core index) would pick it again.
 #[inline(always)]
 pub(crate) fn holds_schedule(clock: f64, horizon: f64, wins_tie: bool) -> bool {
     match clock.total_cmp(&horizon) {
@@ -227,7 +224,7 @@ pub struct CmpSystem<P: ObsProbe = NullProbe> {
     cfg: SystemConfig,
     l1s: Vec<SetAssocCache>,
     l2s: Vec<SetAssocCache>,
-    fabric: Fabric,
+    fabric: DirectoryFabric,
     policy: Box<dyn LlcPolicy>,
     prefetchers: Vec<StridePrefetcher>,
     pf_buf: Vec<LineAddr>,
@@ -253,43 +250,26 @@ impl<P: ObsProbe> std::fmt::Debug for CmpSystem<P> {
 }
 
 impl CmpSystem<NullProbe> {
-    /// Builds an unobserved system running streaming `workloads` (one per
-    /// core) under `policy`. This is the plain-generator path — tests and
-    /// `trace_tool` use it with arbitrary custom streams; sweeps route
-    /// through [`from_sources`](CmpSystem::from_sources) so shared
-    /// materialized traces replay instead.
+    /// Builds an unobserved system over one per-core source each — live
+    /// generators ([`CoreWorkload`](cmp_trace::CoreWorkload)s, for custom
+    /// streams) or [`CoreSource`]s that replay shared materialized traces,
+    /// which is what the sweeps use.
     ///
     /// # Panics
     ///
-    /// Panics if `workloads.len() != cfg.cores`.
-    pub fn new(
-        cfg: SystemConfig,
-        policy: Box<dyn LlcPolicy>,
-        workloads: Vec<CoreWorkload>,
-    ) -> Self {
-        Self::from_sources(cfg, policy, workloads.into_iter().map(Into::into).collect())
-    }
-
-    /// Builds an unobserved system over per-core [`CoreSource`]s — the
-    /// front-end the sweep uses, feeding each core from either a live
-    /// generator or a shared materialized trace cursor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len() != cfg.cores`.
+    /// Panics if the source count differs from `cfg.cores`.
     pub fn from_sources(
         cfg: SystemConfig,
         policy: Box<dyn LlcPolicy>,
-        sources: Vec<CoreSource>,
+        sources: impl IntoIterator<Item = impl Into<CoreSource>>,
     ) -> Self {
         Self::with_probe_sources(cfg, policy, sources, NullProbe, 0)
     }
 }
 
 impl<P: ObsProbe> CmpSystem<P> {
-    /// Builds a system with an attached observation probe over streaming
-    /// workloads (see [`with_probe_sources`](CmpSystem::with_probe_sources)
-    /// for the source-based equivalent).
+    /// Builds a system with an attached observation probe over one
+    /// per-core source each (see [`from_sources`](CmpSystem::from_sources)).
     ///
     /// `epoch_accesses` sets the observation-epoch length in *global* L2
     /// accesses: every `epoch_accesses` accesses the probe receives
@@ -299,35 +279,15 @@ impl<P: ObsProbe> CmpSystem<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `workloads.len() != cfg.cores`.
-    pub fn with_probe(
-        cfg: SystemConfig,
-        policy: Box<dyn LlcPolicy>,
-        workloads: Vec<CoreWorkload>,
-        probe: P,
-        epoch_accesses: u64,
-    ) -> Self {
-        Self::with_probe_sources(
-            cfg,
-            policy,
-            workloads.into_iter().map(Into::into).collect(),
-            probe,
-            epoch_accesses,
-        )
-    }
-
-    /// Builds a probed system over per-core [`CoreSource`]s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len() != cfg.cores`.
+    /// Panics if the source count differs from `cfg.cores`.
     pub fn with_probe_sources(
         cfg: SystemConfig,
         mut policy: Box<dyn LlcPolicy>,
-        sources: Vec<CoreSource>,
+        sources: impl IntoIterator<Item = impl Into<CoreSource>>,
         probe: P,
         epoch_accesses: u64,
     ) -> Self {
+        let sources: Vec<CoreSource> = sources.into_iter().map(Into::into).collect();
         assert_eq!(
             sources.len(),
             cfg.cores,
@@ -345,7 +305,7 @@ impl<P: ObsProbe> CmpSystem<P> {
         CmpSystem {
             l1s: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             l2s: (0..cfg.cores).map(|_| l2_builder()).collect(),
-            fabric: Fabric::new(cfg.fabric, cfg.cores * cfg.l2.lines() as usize),
+            fabric: DirectoryFabric::with_capacity(cfg.cores * cfg.l2.lines() as usize),
             prefetchers: cfg
                 .prefetch
                 .map(|p| (0..cfg.cores).map(|_| StridePrefetcher::new(p)).collect())
@@ -399,8 +359,8 @@ impl<P: ObsProbe> CmpSystem<P> {
         &self.l1s
     }
 
-    /// The coherence fabric (for its statistics and kind).
-    pub fn fabric(&self) -> &Fabric {
+    /// The coherence fabric (for its statistics).
+    pub fn fabric(&self) -> &DirectoryFabric {
         &self.fabric
     }
 
@@ -428,28 +388,14 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// finish keep executing — competing for cache space — until the last
     /// one is done, as in the paper's methodology (§5).
     ///
-    /// Dispatches on the `ASCC_BATCH` knob between the batched event loop
-    /// (default) and the per-access streaming interleave; the two are
-    /// bit-identical (DESIGN.md §5h), so the choice is purely about
-    /// throughput.
+    /// Runs on the batched event loop; the same as
+    /// [`run_batched`](CmpSystem::run_batched).
     pub fn run(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
-        if batch_enabled() {
-            self.run_batched(instr_target, warmup_instrs)
-        } else {
-            self.run_streaming(instr_target, warmup_instrs)
-        }
+        self.run_batched(instr_target, warmup_instrs)
     }
 
-    /// [`run`](CmpSystem::run) forced onto the per-access streaming
-    /// interleave, regardless of `ASCC_BATCH`. The equivalence tests use
-    /// this explicit pair rather than racing env-var mutations across test
-    /// threads.
-    pub fn run_streaming(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
-        self.run_with_hook(instr_target, warmup_instrs, |_| {})
-    }
-
-    /// [`run`](CmpSystem::run) forced onto the batched event loop,
-    /// regardless of `ASCC_BATCH`.
+    /// [`run`](CmpSystem::run) without a hook: the batched event loop
+    /// straight through to the end of the measured window.
     pub fn run_batched(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
         self.try_run_batched(instr_target, warmup_instrs, 0, |_| true)
             .expect("an always-continue hook cannot abort the run")
@@ -457,11 +403,13 @@ impl<P: ObsProbe> CmpSystem<P> {
 
     /// The batched event loop: drains whole [`TraceChunk`](cmp_trace::TraceChunk)
     /// runs per core instead of re-scheduling after every access, while
-    /// producing the exact access interleaving of the streaming loop.
+    /// producing the exact access interleaving of the spec's scheduler —
+    /// always advance the core with the lowest clock, ties to the lowest
+    /// core index (`cmp_oracle::OracleSystem::run_interleaved` is that
+    /// spec, written out literally).
     ///
-    /// The scheduled core is the one the streaming `min_by` would pick
-    /// (first-minimum clock). It keeps draining while
-    /// [`holds_schedule`] says the streaming scheduler would keep picking
+    /// The scheduled core is that first-minimum pick. It keeps draining
+    /// while [`holds_schedule`] says the scheduler would keep picking
     /// it — its clock stays below the *cycle horizon* (the minimum clock of
     /// the other cores, which cannot move during the drain: spill
     /// retirement only touches peers' writeback counters). Inside a drain
@@ -479,17 +427,17 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// first-minimum picks with no horizon computation, no drain
     /// entry/exit, and the accesses still served from the cached chunk
     /// run. Both modes execute identical arithmetic in the identical
-    /// first-minimum order, so the interleaving (and every counter) stays
-    /// bit-identical to the streaming loop regardless of where the mode
-    /// switches land; the switch points themselves are access-count
-    /// driven and thus deterministic.
+    /// first-minimum order, so the interleaving (and every counter) is the
+    /// same regardless of where the mode switches land; the switch points
+    /// themselves are access-count driven and thus deterministic.
     ///
     /// `hook` runs with flushed, snapshot-able state after every
-    /// `hook_every` global accesses (`0` = never) — the batched analogue
-    /// of [`try_run_with_hook`](CmpSystem::try_run_with_hook)'s per-access
-    /// cadence, used for `ASCC_CKPT_EVERY` checkpoints and cancellation.
+    /// `hook_every` global accesses (`0` = never; the final access of the
+    /// run never fires it), used for `ASCC_CKPT_EVERY` checkpoints,
+    /// cancellation, live progress and mid-run captures in tests.
     /// Returning `false` abandons the run (`None`), leaving the system in
-    /// the consistent state the hook observed.
+    /// the consistent state the hook observed, so an aborted run can still
+    /// be checkpointed or inspected.
     pub fn try_run_batched(
         &mut self,
         instr_target: u64,
@@ -804,9 +752,8 @@ impl<P: ObsProbe> CmpSystem<P> {
     }
 
     /// Post-access warm-up/end/hook bookkeeping for the batched loop;
-    /// returns the pause the drain must take, if any. Mirrors the
-    /// streaming loop's per-access checks; snapshots are captured from
-    /// freshly flushed counters.
+    /// returns the pause the drain must take, if any. Snapshots are
+    /// captured from freshly flushed counters.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn batched_bookkeeping(
@@ -836,8 +783,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                 *ended = true;
                 // End snapshots never unset, so the all-done transition can
                 // only happen on the access that captures the last one —
-                // checking here is equivalent to the streaming loop's
-                // every-access scan.
+                // checking here is equivalent to an every-access scan.
                 if self.cores.iter().all(|c| c.end_snap.is_some()) {
                     return Some(Pause::Done);
                 }
@@ -848,76 +794,6 @@ impl<P: ObsProbe> CmpSystem<P> {
             return Some(Pause::Hook);
         }
         None
-    }
-
-    /// [`run`](CmpSystem::run) with a periodic-checkpoint hook: `after_step`
-    /// is called after every access (and its warm-up/end bookkeeping) except
-    /// the final one, with the system in a consistent snapshot-able state.
-    ///
-    /// The checkpointed `run_mix` path uses this to call
-    /// [`snapshot`](CmpSystem::snapshot) every `ASCC_CKPT_EVERY` accesses;
-    /// tests use it to capture mid-run state at arbitrary access indices.
-    pub fn run_with_hook(
-        &mut self,
-        instr_target: u64,
-        warmup_instrs: u64,
-        mut after_step: impl FnMut(&mut Self),
-    ) -> RunResult {
-        self.try_run_with_hook(instr_target, warmup_instrs, |sys| {
-            after_step(sys);
-            true
-        })
-        .expect("an always-continue hook cannot abort the run")
-    }
-
-    /// [`run_with_hook`](CmpSystem::run_with_hook) with cooperative
-    /// cancellation: the hook returns `true` to continue or `false` to
-    /// abandon the run, in which case the call returns `None` and no
-    /// measurement is produced. The system is left in the consistent
-    /// snapshot-able state the hook observed, so an aborted run can still
-    /// be checkpointed or inspected.
-    ///
-    /// An uncancelled run is step-for-step identical to
-    /// [`run`](CmpSystem::run).
-    pub fn try_run_with_hook(
-        &mut self,
-        instr_target: u64,
-        warmup_instrs: u64,
-        mut after_step: impl FnMut(&mut Self) -> bool,
-    ) -> Option<RunResult> {
-        assert!(instr_target > 0, "need a nonzero instruction target");
-        loop {
-            // Advance the globally-oldest core by one memory access.
-            let i = self
-                .cores
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.clock.total_cmp(&b.1.clock))
-                .map(|(i, _)| i)
-                .expect("at least one core");
-            self.step(i);
-
-            let c = &mut self.cores[i];
-            if c.warm_snap.is_none() && c.counters.instrs >= warmup_instrs {
-                c.warm_snap = Some(c.counters);
-                if self.global_warm.is_none() && self.cores.iter().all(|c| c.warm_snap.is_some()) {
-                    self.global_warm = Some(self.global);
-                }
-            }
-            let c = &mut self.cores[i];
-            if let Some(w) = c.warm_snap {
-                if c.end_snap.is_none() && c.counters.instrs - w.instrs >= instr_target {
-                    c.end_snap = Some(c.counters);
-                }
-            }
-            if self.cores.iter().all(|c| c.end_snap.is_some()) {
-                break;
-            }
-            if !after_step(self) {
-                return None;
-            }
-        }
-        Some(self.result())
     }
 
     fn result(&self) -> RunResult {
@@ -1155,7 +1031,7 @@ impl<P: ObsProbe> CmpSystem<P> {
         self.policy.record_access(core, set, AccessOutcome::Miss);
         self.policy
             .note_access(core, line, set, AccessOutcome::Miss, None);
-        let requested_last_copy = self.fabric.holder_count(&self.l2s, line) == 1;
+        let requested_last_copy = self.fabric.holder_count(line) == 1;
 
         let remote = if kind.is_store() {
             let hit = self.fabric.write_miss(&mut self.l2s, core, line);
@@ -1207,7 +1083,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                     // §3.2 swap: the supplier's slot is free; if both lines
                     // are last copies, the victim moves into it.
                     let moved_out = kind.is_store() || self.cfg.read_policy == ReadPolicy::Migrate;
-                    let victim_last = self.fabric.holder_count(&self.l2s, v.addr) == 0;
+                    let victim_last = self.fabric.holder_count(v.addr) == 0;
                     if self.policy.swap_enabled() && moved_out && requested_last_copy && victim_last
                     {
                         self.l1s[i].invalidate(v.addr);
@@ -1246,7 +1122,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                 let state = if kind.is_store() {
                     MesiState::Modified
                 } else {
-                    self.fabric.fetch_state(&self.l2s, core, line)
+                    self.fabric.fetch_state(core, line)
                 };
                 // Admission gate (TinyLFU-style filters): a rejected fetch
                 // is delivered to the core but enters neither cache level.
@@ -1332,7 +1208,7 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// to memory.
     fn dispose(&mut self, core: usize, set: SetIdx, v: CacheLine) {
         self.l1s[core].invalidate(v.addr);
-        let last_copy = self.fabric.holder_count(&self.l2s, v.addr) == 0;
+        let last_copy = self.fabric.holder_count(v.addr) == 0;
         if !last_copy {
             // Another cache still holds the line; dropping a clean replica
             // is free (Modified implies sole ownership, so it cannot
@@ -1432,7 +1308,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                 }
             }
             w.put_u64(self.epoch_accesses);
-            w.put_u8(self.cfg.fabric.as_u8());
+            w.put_u8(FABRIC_DIRECTORY);
         });
         w.section(tag::GLOBALS, |w| {
             Self::save_globals(w, &self.global);
@@ -1633,10 +1509,10 @@ impl<P: ObsProbe> CmpSystem<P> {
             ));
         }
         let fk = fp.get_u8()?;
-        if fk != self.cfg.fabric.as_u8() {
+        if fk != FABRIC_DIRECTORY {
             return Err(SnapError::Mismatch(format!(
-                "coherence fabric: snapshot {fk}, live {}",
-                self.cfg.fabric.as_u8()
+                "coherence fabric: snapshot {fk} (0 = broadcast bus, no longer supported), \
+                 live {FABRIC_DIRECTORY} (directory)"
             )));
         }
         fp.finish("fingerprint section")?;
@@ -1751,7 +1627,7 @@ impl<P: ObsProbe> CmpSystem<P> {
         for &pl in &buf {
             // Prefetch from memory only; skip lines already on chip (the
             // holder count covers the local cache too).
-            if self.fabric.holder_count(&self.l2s, pl) != 0 {
+            if self.fabric.holder_count(pl) != 0 {
                 continue;
             }
             let set = self.cfg.l2.set_of(pl);
@@ -1801,7 +1677,7 @@ mod tests {
     #[test]
     fn small_loop_hits_l1_after_warmup() {
         // 512 B loop fits the 1 kB L1 entirely.
-        let mut sys = CmpSystem::new(
+        let mut sys = CmpSystem::from_sources(
             tiny_cfg(1),
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 512)],
@@ -1818,7 +1694,7 @@ mod tests {
     #[test]
     fn l2_sized_loop_misses_l1_hits_l2() {
         // 4 kB loop: thrashes the 1 kB L1, fits the 16 kB L2.
-        let mut sys = CmpSystem::new(
+        let mut sys = CmpSystem::from_sources(
             tiny_cfg(1),
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 4 << 10)],
@@ -1835,7 +1711,7 @@ mod tests {
 
     #[test]
     fn giant_loop_misses_to_memory() {
-        let mut sys = CmpSystem::new(
+        let mut sys = CmpSystem::from_sources(
             tiny_cfg(1),
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 1 << 20)],
@@ -1855,7 +1731,7 @@ mod tests {
             cfg.l2.sets(),
             cfg.l2.ways(),
         )));
-        CmpSystem::new(
+        CmpSystem::from_sources(
             cfg,
             policy,
             vec![workload(0, 24 << 10), workload(1 << 40, 20 << 10)],
@@ -1867,13 +1743,12 @@ mod tests {
         // Straight run, capturing a snapshot somewhere mid-flight.
         let mut straight = two_core_ascc();
         let mut taken = None;
-        let mut steps = 0u64;
-        let straight_result = straight.run_with_hook(30_000, 5_000, |sys| {
-            steps += 1;
-            if steps == 7_000 {
-                taken = Some(sys.snapshot());
-            }
-        });
+        let straight_result = straight
+            .try_run_batched(30_000, 5_000, 7_000, |sys| {
+                taken.get_or_insert_with(|| sys.snapshot());
+                true
+            })
+            .expect("an always-continue hook cannot abort the run");
         let taken = taken.expect("run is longer than 7000 accesses");
         let straight_end = straight.snapshot();
 
@@ -1916,7 +1791,7 @@ mod tests {
 
         // Different policy.
         let cfg = tiny_cfg(2);
-        let mut other = CmpSystem::new(
+        let mut other = CmpSystem::from_sources(
             cfg,
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 24 << 10), workload(1 << 40, 20 << 10)],
@@ -1951,37 +1826,10 @@ mod tests {
     }
 
     #[test]
-    fn fabrics_are_bit_identical() {
-        // Same mix, same policy, both coherence fabrics: architectural
-        // results and every counter except `probes` must agree exactly.
-        let run = |fabric| {
-            let cfg = tiny_cfg(2).with_fabric(fabric);
-            let policy = Box::new(ascc::AsccPolicy::new(ascc::AsccConfig::ascc(
-                2,
-                cfg.l2.sets(),
-                cfg.l2.ways(),
-            )));
-            let mut sys = CmpSystem::new(
-                cfg,
-                policy,
-                vec![workload(0, 24 << 10), workload(1 << 40, 20 << 10)],
-            );
-            let r = sys.run(30_000, 5_000);
-            let s = *sys.fabric().stats();
-            (r, s.snoops, s.transfers, s.invalidations, s.probes)
-        };
-        let (rb, sb, tb, ib, pb) = run(cmp_coherence::FabricKind::Broadcast);
-        let (rd, sd, td, id, pd) = run(cmp_coherence::FabricKind::Directory);
-        assert_eq!(rb, rd, "results diverge across fabrics");
-        assert_eq!((sb, tb, ib), (sd, td, id), "protocol counters diverge");
-        assert!(pd <= pb, "directory probes ({pd}) exceed broadcast ({pb})");
-    }
-
-    #[test]
     fn baseline_cores_are_isolated() {
         // Two cores in disjoint regions under the baseline: identical
         // workloads produce identical measured CPIs.
-        let mut sys = CmpSystem::new(
+        let mut sys = CmpSystem::from_sources(
             tiny_cfg(2),
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 4 << 10), workload(1 << 30, 4 << 10)],
@@ -1995,7 +1843,7 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         let go = || {
-            let mut sys = CmpSystem::new(
+            let mut sys = CmpSystem::from_sources(
                 tiny_cfg(2),
                 Box::new(PrivateBaseline::new()),
                 vec![workload(0, 8 << 10), workload(1 << 30, 64 << 10)],
@@ -2014,7 +1862,8 @@ mod tests {
         // eventually evicted dirty.
         let mut stores = workload(0, 1 << 20);
         stores.stream = Box::new(StoreEverything(CyclicStream::words(0, 1 << 20, 0)));
-        let mut sys = CmpSystem::new(tiny_cfg(1), Box::new(PrivateBaseline::new()), vec![stores]);
+        let mut sys =
+            CmpSystem::from_sources(tiny_cfg(1), Box::new(PrivateBaseline::new()), vec![stores]);
         let r = sys.run(50_000, 10_000);
         assert!(r.cores[0].writebacks > 0, "{:?}", r.cores[0]);
     }

@@ -430,25 +430,23 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     result
 }
 
-/// Checkpoint cadence: "take a snapshot every `every` steps", with the
-/// stepping counter kept here so every checkpointing site (the batch
-/// runner's per-access hook, the daemon's runtime-tunable cadence) counts
-/// identically. `every = 0` disables ticking entirely.
+/// Checkpoint cadence: "take a snapshot every `every` accesses", the
+/// period the engine's run hook fires on. `every = 0` disables
+/// checkpointing entirely.
 ///
 /// The cadence is deliberately *not* serialised into snapshots: how often
 /// state is captured is an operational knob, not architectural state, and
-/// changing it mid-run (e.g. through the control plane's `PUT /config`)
-/// must not perturb resumed results.
+/// changing it between runs (e.g. through the control plane's
+/// `PUT /config`) must not perturb resumed results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cadence {
     every: u64,
-    since: u64,
 }
 
 impl Cadence {
-    /// A cadence firing every `every` ticks (`0` never fires).
+    /// A cadence firing every `every` accesses (`0` never fires).
     pub fn new(every: u64) -> Self {
-        Cadence { every, since: 0 }
+        Cadence { every }
     }
 
     /// The configured period (`0` = disabled).
@@ -460,28 +458,6 @@ impl Cadence {
     pub fn is_enabled(&self) -> bool {
         self.every > 0
     }
-
-    /// Re-periods the cadence; the partial progress toward the next firing
-    /// is reset so the next checkpoint lands a full (new) period away.
-    pub fn set_every(&mut self, every: u64) {
-        self.every = every;
-        self.since = 0;
-    }
-
-    /// Counts one step; returns `true` when a full period has elapsed (and
-    /// resets the partial count).
-    pub fn tick(&mut self) -> bool {
-        if self.every == 0 {
-            return false;
-        }
-        self.since += 1;
-        if self.since >= self.every {
-            self.since = 0;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -489,30 +465,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cadence_fires_every_n_ticks() {
-        let mut c = Cadence::new(3);
-        let fires: Vec<bool> = (0..7).map(|_| c.tick()).collect();
-        assert_eq!(fires, [false, false, true, false, false, true, false]);
+    fn cadence_zero_never_fires() {
+        let c = Cadence::new(0);
+        assert!(!c.is_enabled());
+        assert_eq!(c.every(), 0);
+        let c = Cadence::new(3);
         assert!(c.is_enabled());
         assert_eq!(c.every(), 3);
-    }
-
-    #[test]
-    fn cadence_zero_never_fires() {
-        let mut c = Cadence::new(0);
-        assert!(!c.is_enabled());
-        assert!((0..100).all(|_| !c.tick()));
-    }
-
-    #[test]
-    fn cadence_reperiod_resets_progress() {
-        let mut c = Cadence::new(4);
-        c.tick();
-        c.tick();
-        c.tick();
-        c.set_every(2);
-        assert!(!c.tick(), "partial progress was discarded");
-        assert!(c.tick(), "a full new period elapsed");
     }
 
     #[test]

@@ -329,7 +329,7 @@ impl AccessStream for TenantStream {
         // Tenant churn: a departure/arrival every `churn_every` accesses,
         // round-robin over the slots. Clock-driven, so a re-created stream
         // replays the identical schedule.
-        if p.churn_every > 0 && c > 0 && c % p.churn_every == 0 {
+        if p.churn_every > 0 && c > 0 && c.is_multiple_of(p.churn_every) {
             let slot = ((c / p.churn_every - 1) % p.tenants as u64) as usize;
             self.churn(slot);
         }
@@ -337,7 +337,7 @@ impl AccessStream for TenantStream {
         // Scan storm: a sequential sweep over one tenant's shard slice for
         // `scan_len` accesses at the top of every scan period.
         if p.scan_every > 0 && c % p.scan_every < p.scan_len {
-            if c % p.scan_every == 0 {
+            if c.is_multiple_of(p.scan_every) {
                 self.scan_slot = ((c / p.scan_every) % p.tenants as u64) as usize;
                 self.scan_pos = 0;
             }

@@ -147,7 +147,7 @@ mod tests {
         for n in [1usize, 2, 17, 1024] {
             let z = Zipf::new(n, 0.9);
             assert_eq!(z.len(), n);
-            assert_eq!(z.is_empty(), z.len() == 0);
+            assert_eq!(z.is_empty(), n == 0);
             assert!(!z.is_empty());
         }
     }

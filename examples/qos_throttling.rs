@@ -64,7 +64,7 @@ fn main() {
 
     // Peek at the live ratio: drive a fresh system a while, then read the
     // typed policy snapshot (no downcasting needed).
-    let mut sys = CmpSystem::new(
+    let mut sys = CmpSystem::from_sources(
         cfg.clone(),
         Box::new(shape(true).build()),
         mix_workloads(&mix, seed),

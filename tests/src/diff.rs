@@ -12,7 +12,6 @@
 //! minimizes a failing case before it is reported.
 
 use cmp_cache::{CoreId, MesiState, SetIdx, WayIdx};
-use cmp_coherence::FabricKind;
 use cmp_oracle::{
     diff_snapshots, CacheSnap, CoreSnap, LineSnap, OracleArcConfig, OracleAsccConfig,
     OracleAvgccConfig, OracleCapacity, OracleConfig, OracleCpu, OraclePolicyConfig,
@@ -100,16 +99,15 @@ pub struct DiffCase {
     pub mem_q: u8,
     /// Compare full state every this many ops (always compared at the end).
     pub check_every: u32,
-    /// Coherence fabric the engine runs on (the oracle mirrors it).
-    pub fabric: FabricKind,
     /// The policy under test.
     pub policy: DiffPolicy,
     /// The interleaved access script.
     pub ops: Vec<DiffOp>,
 }
 
-/// Replays a fixed access list; the differential harness steps the core
-/// explicitly, so the script is consumed exactly once in order.
+/// Replays a fixed access list cyclically; an empty list yields loads of
+/// address 0. The lockstep harness steps each core explicitly, so there the
+/// script is consumed exactly once in order.
 struct Script {
     ops: Vec<Access>,
     i: usize,
@@ -130,6 +128,20 @@ fn l2_sets(case: &DiffCase) -> u32 {
     1u32 << case.l2_sets_log2
 }
 
+/// The case's ops split into per-core scripts of `(byte address, store)`,
+/// in op order — what each engine core replays.
+fn core_scripts(case: &DiffCase) -> Vec<Vec<(u64, bool)>> {
+    (0..case.cores)
+        .map(|c| {
+            case.ops
+                .iter()
+                .filter(|o| o.core == c)
+                .map(|o| ((o.line as u64) << 5, o.store))
+                .collect()
+        })
+        .collect()
+}
+
 /// Builds the optimized engine for a case. Public so characterization
 /// tests can script exact access sequences and then inspect policy state.
 pub fn build_real(case: &DiffCase) -> CmpSystem {
@@ -142,7 +154,6 @@ pub fn build_real(case: &DiffCase) -> CmpSystem {
     } else {
         cmp_coherence::ReadPolicy::Replicate
     };
-    cfg.fabric = case.fabric;
 
     let policy: Box<dyn cmp_cache::LlcPolicy> = match &case.policy {
         DiffPolicy::Ascc {
@@ -218,8 +229,10 @@ pub fn build_real(case: &DiffCase) -> CmpSystem {
         }
     };
 
-    let workloads = (0..case.cores)
-        .map(|c| CoreWorkload {
+    let workloads = core_scripts(case)
+        .into_iter()
+        .enumerate()
+        .map(|(c, script)| CoreWorkload {
             label: format!("script{c}"),
             cpu: CpuModel {
                 mem_fraction: 1.0 / case.mem_q as f64,
@@ -228,13 +241,11 @@ pub fn build_real(case: &DiffCase) -> CmpSystem {
                 store_fraction: 0.0,
             },
             stream: Box::new(Script {
-                ops: case
-                    .ops
-                    .iter()
-                    .filter(|o| o.core == c)
-                    .map(|o| {
-                        let addr = cmp_cache::Addr::new((o.line as u64) << 5);
-                        if o.store {
+                ops: script
+                    .into_iter()
+                    .map(|(addr, store)| {
+                        let addr = cmp_cache::Addr::new(addr);
+                        if store {
                             Access::store(addr, 0)
                         } else {
                             Access::load(addr, 0)
@@ -243,10 +254,9 @@ pub fn build_real(case: &DiffCase) -> CmpSystem {
                     .collect(),
                 i: 0,
             }) as Box<dyn AccessStream>,
-        })
-        .collect();
+        });
 
-    CmpSystem::new(cfg, policy, workloads)
+    CmpSystem::from_sources(cfg, policy, workloads)
 }
 
 fn build_oracle(case: &DiffCase) -> OracleSystem {
@@ -349,7 +359,6 @@ fn build_oracle(case: &DiffCase) -> OracleSystem {
             lat_l2_remote: 25,
             lat_mem: 460,
             migrate: case.migrate,
-            directory: case.fabric == FabricKind::Directory,
             cpu: vec![
                 OracleCpu {
                     mem_fraction: 1.0 / case.mem_q as f64,
@@ -595,42 +604,36 @@ pub fn run_case(case: &DiffCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the same case on the broadcast and directory fabrics in lockstep
-/// and compares full architectural state at every checkpoint. `probes` is
-/// the one counter allowed to differ (fewer tag lookups is the point of
-/// the directory) and is required to be no worse; everything else must be
-/// bit-identical.
-pub fn run_case_cross_fabric(case: &DiffCase) -> Result<(), String> {
-    let mut bcast_case = case.clone();
-    bcast_case.fabric = FabricKind::Broadcast;
-    let mut dir_case = case.clone();
-    dir_case.fabric = FabricKind::Directory;
-    let mut bcast = build_real(&bcast_case);
-    let mut dir = build_real(&dir_case);
-    let check_every = case.check_every.max(1) as usize;
-    for (i, op) in case.ops.iter().enumerate() {
-        let core = (op.core % case.cores) as usize;
-        bcast.step(core);
-        dir.step(core);
-        if (i + 1) % check_every == 0 || i + 1 == case.ops.len() {
-            let mut sb = snapshot_real(&bcast, &bcast_case);
-            let mut sd = snapshot_real(&dir, &dir_case);
-            if sd.bus.3 > sb.bus.3 {
-                return Err(format!(
-                    "after op {i} ({op:?}): directory probed more than broadcast \
-                     ({} > {})",
-                    sd.bus.3, sb.bus.3
-                ));
-            }
-            sb.bus.3 = 0;
-            sd.bus.3 = 0;
-            if let Some(d) = diff_snapshots(&sb, &sd) {
-                return Err(format!(
-                    "after op {i} ({op:?}): broadcast (reported as oracle) vs \
-                     directory (reported as real): {d}"
-                ));
-            }
-        }
+/// Runs the engine's own scheduler against the spec's: the batched event
+/// loop, fed the case's per-core scripts, is stopped after exactly `n`
+/// global accesses, and the oracle runs the same `n` accesses through
+/// [`OracleSystem::run_interleaved`] (lowest clock first, ties to the lowest
+/// core index). `Ok` means the two end states are identical, so the batched
+/// loop picked the same core for every access. The case's own op order
+/// and `check_every` are unused here.
+///
+/// # Panics
+///
+/// Panics if `n` is zero.
+pub fn run_case_interleaved(case: &DiffCase, n: u64) -> Result<(), String> {
+    assert!(n > 0, "need at least one access");
+    let mut real = build_real(case);
+    let stopped = real.try_run_batched(u64::MAX, 0, n, |_| false);
+    assert!(
+        stopped.is_none(),
+        "the run cannot end before its hook stops it"
+    );
+    let mut oracle = build_oracle(case);
+    oracle.run_interleaved(&core_scripts(case), n);
+    if let Some(d) = diff_snapshots(&oracle.snapshot(), &snapshot_real(&real, case)) {
+        return Err(format!("after {n} interleaved accesses: {d}"));
+    }
+    let problems = check_real_invariants(&real, case);
+    if !problems.is_empty() {
+        return Err(format!(
+            "after {n} interleaved accesses: invariants violated: {}",
+            problems.join("; ")
+        ));
     }
     Ok(())
 }
@@ -703,14 +706,19 @@ pub fn shrink_case(case: &DiffCase) -> DiffCase {
             best = c;
         }
     }
-    // Greedy delta-debugging pass over the remaining ops.
+    drop_ops_while(best, |c| run_case(c).is_err())
+}
+
+/// Greedy delta-debugging: removes ever smaller chunks of ops as long as
+/// the case keeps `failing`.
+fn drop_ops_while(mut best: DiffCase, failing: impl Fn(&DiffCase) -> bool) -> DiffCase {
     let mut chunk = (best.ops.len() / 2).max(1);
     loop {
         let mut i = 0;
         while i + chunk <= best.ops.len() {
             let mut c = best.clone();
             c.ops.drain(i..i + chunk);
-            if run_case(&c).is_err() {
+            if failing(&c) {
                 best = c;
             } else {
                 i += chunk;
@@ -724,6 +732,51 @@ pub fn shrink_case(case: &DiffCase) -> DiffCase {
     best
 }
 
+/// Minimizes a case that fails [`run_case_interleaved`] after `n`
+/// accesses: first the access count (a binary search that only ever
+/// moves to failing counts), then the ops, then the count again. Returns
+/// the shrunk case and its failing access count.
+pub fn shrink_interleaved(case: &DiffCase, n: u64) -> (DiffCase, u64) {
+    let fails = |c: &DiffCase, k: u64| run_case_interleaved(c, k).is_err();
+    let earliest = |c: &DiffCase, mut hi: u64| {
+        let mut lo = 1;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if fails(c, mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        hi
+    };
+    let n = earliest(case, n);
+    let min = drop_ops_while(case.clone(), |c| fails(c, n));
+    let n = earliest(&min, n);
+    (min, n)
+}
+
+/// Property-test entry point for the scheduler check: runs
+/// [`run_case_interleaved`] and, on divergence, shrinks the case and its
+/// access count, dumps the case and panics with both.
+///
+/// # Panics
+///
+/// Panics when the batched loop's interleave diverges from the oracle's.
+pub fn assert_case_interleaved(case: &DiffCase, n: u64) {
+    if let Err(first) = run_case_interleaved(case, n) {
+        let (min, k) = shrink_interleaved(case, n);
+        let err = run_case_interleaved(&min, k).err().unwrap_or(first);
+        let path = dump_failure(&min);
+        panic!(
+            "batched scheduler diverges from the oracle interleave: {err}\n\
+             shrunk to {} ops and {k} accesses; case dumped to {path}\n\
+             replay with: diff::run_case_interleaved(&diff::parse_case(<file>)?, {k})",
+            min.ops.len()
+        );
+    }
+}
+
 /// Serializes a case in the stable line-oriented repro format.
 pub fn dump_case(case: &DiffCase) -> String {
     let mut s = String::from("# ascc differential repro v1\n");
@@ -733,7 +786,6 @@ pub fn dump_case(case: &DiffCase) -> String {
     s.push_str(&format!("migrate {}\n", case.migrate as u8));
     s.push_str(&format!("memq {}\n", case.mem_q));
     s.push_str(&format!("check {}\n", case.check_every));
-    s.push_str(&format!("fabric {}\n", case.fabric.label()));
     match &case.policy {
         DiffPolicy::Ascc {
             variant,
@@ -783,7 +835,6 @@ pub fn parse_case(text: &str) -> Result<DiffCase, String> {
     let mut migrate = None;
     let mut mem_q = None;
     let mut check_every = None;
-    let mut fabric = None;
     let mut policy = None;
     let mut ops = Vec::new();
     let want = |f: &mut std::str::SplitWhitespace<'_>, what: &str| -> Result<u64, String> {
@@ -807,13 +858,16 @@ pub fn parse_case(text: &str) -> Result<DiffCase, String> {
                 "migrate" => migrate = Some(want(&mut f, "migrate")? != 0),
                 "memq" => mem_q = Some(want(&mut f, "memq")? as u8),
                 "check" => check_every = Some(want(&mut f, "check")? as u32),
-                "fabric" => {
-                    fabric = Some(match f.next() {
-                        Some("broadcast") => FabricKind::Broadcast,
-                        Some("directory") => FabricKind::Directory,
-                        other => return Err(format!("unknown fabric {other:?}")),
-                    });
-                }
+                // Case files dumped while the broadcast bus still existed
+                // name their fabric. The directory is the only one left.
+                "fabric" => match f.next() {
+                    Some("directory") => {}
+                    other => {
+                        return Err(format!(
+                            "unsupported fabric {other:?}: only \"directory\" remains"
+                        ))
+                    }
+                },
                 "policy" => {
                     policy = Some(match f.next() {
                         Some("ascc") => DiffPolicy::Ascc {
@@ -878,10 +932,6 @@ pub fn parse_case(text: &str) -> Result<DiffCase, String> {
         migrate: migrate.ok_or("missing migrate")?,
         mem_q: mem_q.ok_or("missing memq")?,
         check_every: check_every.ok_or("missing check")?,
-        // Absent in v1 case files dumped before the directory existed; both
-        // fabrics are bit-identical, so replaying them on the directory is
-        // the stronger check.
-        fabric: fabric.unwrap_or(FabricKind::Directory),
         policy: policy.ok_or("missing policy")?,
         ops,
     };
@@ -1004,7 +1054,6 @@ mod tests {
             migrate: true,
             mem_q: 3,
             check_every: 4,
-            fabric: FabricKind::Directory,
             policy: DiffPolicy::Ascc {
                 variant: 0,
                 swap: true,
@@ -1050,7 +1099,6 @@ mod tests {
             migrate: true,
             mem_q: 3,
             check_every: 8,
-            fabric: FabricKind::Directory,
             policy,
             ops,
         }
@@ -1081,9 +1129,6 @@ mod tests {
     fn dump_parse_round_trip() {
         let case = sample_case();
         assert_eq!(parse_case(&dump_case(&case)).unwrap(), case);
-        let mut bcast = case.clone();
-        bcast.fabric = FabricKind::Broadcast;
-        assert_eq!(parse_case(&dump_case(&bcast)).unwrap(), bcast);
         let mut avgcc = case;
         avgcc.policy = DiffPolicy::Avgcc {
             qos: true,
@@ -1117,9 +1162,15 @@ mod tests {
     }
 
     #[test]
-    fn frontier_cases_agree_across_fabrics() {
+    fn frontier_cases_match_the_oracle_interleave() {
         for policy in [arc_policy(), tinylfu_policy(), rdcb_policy()] {
-            assert!(run_case_cross_fabric(&frontier_case(policy)).is_ok());
+            let case = frontier_case(policy);
+            assert_eq!(
+                run_case_interleaved(&case, 480),
+                Ok(()),
+                "{:?}",
+                case.policy
+            );
         }
     }
 
@@ -1153,26 +1204,18 @@ mod tests {
     }
 
     #[test]
-    fn sample_case_matches_on_broadcast_fabric() {
-        let mut case = sample_case();
-        case.fabric = FabricKind::Broadcast;
-        assert!(run_case(&case).is_ok());
-    }
-
-    #[test]
     fn fabric_key_defaults_to_directory_for_old_case_files() {
+        // Files dumped before the directory existed carry no fabric line,
+        // later ones name it; both replay on the directory. A broadcast
+        // case is a typed error, not a panic.
         let text = dump_case(&sample_case());
-        let stripped: String = text
-            .lines()
-            .filter(|l| !l.starts_with("fabric"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(parse_case(&stripped).unwrap().fabric, FabricKind::Directory);
-    }
-
-    #[test]
-    fn sample_case_fabrics_agree() {
-        assert!(run_case_cross_fabric(&sample_case()).is_ok());
+        assert!(!text.contains("fabric"));
+        let with = |fabric: &str| text.replacen("policy ", &format!("fabric {fabric}\npolicy "), 1);
+        assert_eq!(parse_case(&text).unwrap(), sample_case());
+        assert_eq!(parse_case(&with("directory")).unwrap(), sample_case());
+        let err = parse_case(&with("broadcast")).unwrap_err();
+        assert!(err.contains("fabric"), "{err}");
+        assert!(parse_case(&with("")).is_err());
     }
 
     #[test]

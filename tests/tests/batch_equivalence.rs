@@ -1,13 +1,17 @@
-//! Batched-vs-streaming engine equivalence (DESIGN.md §5h).
+//! Batched event-loop equivalence across feeds, workers and checkpoints
+//! (DESIGN.md §5h).
 //!
-//! The batched event loop drains whole trace-chunk runs per core instead of
-//! re-scheduling after every access; it must be *bit-identical* to the
-//! streaming interleave it replaced. Four layers of evidence:
+//! The batched event loop drains whole trace-chunk runs per core when a
+//! core replays from the trace arena, and pulls one access at a time from
+//! a live (streaming) generator otherwise. Its scheduling is checked
+//! against the oracle's spec-literal interleave in `differential.rs`; this
+//! file checks that everything around the scheduler is invisible:
 //!
-//! * every policy in the zoo produces the same `RunResult` *and* the same
-//!   end-state snapshot bytes under both front-ends;
-//! * an 8-worker `SweepPool` of batched runs is byte-identical to the
-//!   sequential streaming engine;
+//! * for every policy in the zoo, a generator-fed run (the per-access path)
+//!   and an arena-fed run (the chunk path) of the same mix produce the same
+//!   `RunResult` *and* the same end-state snapshot bytes;
+//! * an 8-worker `SweepPool` of arena-fed runs is byte-identical to one
+//!   worker running the generator-fed ones;
 //! * the batched hook fires at *exactly* every `hook_every` global accesses
 //!   (the `ASCC_CKPT_EVERY` contract), and a run aborted at a mid-batch
 //!   checkpoint restores and finishes bit-identically;
@@ -17,7 +21,7 @@
 
 use ascc_integration::{all_policies, small_config};
 use cmp_cache::{CacheGeometry, LlcPolicy};
-use cmp_sim::{mix_sources, CmpSystem, SweepPool, SystemConfig};
+use cmp_sim::{mix_sources, mix_workloads, CmpSystem, SweepPool, SystemConfig};
 use cmp_trace::two_app_mixes;
 
 const INSTRS: u64 = 40_000;
@@ -38,47 +42,54 @@ fn sys_for(cfg: &SystemConfig, mix_idx: usize, policy: Box<dyn LlcPolicy>) -> Cm
     CmpSystem::from_sources(cfg.clone(), policy, mix_sources(mix, SEED))
 }
 
-/// Every policy the simulator can drive: batched run == streaming run, down
-/// to the end-state snapshot bytes (tags, recency words, policy state,
-/// cursor positions — everything `snapshot()` serializes).
-#[test]
-fn batched_matches_streaming_for_every_policy() {
-    let cfg = pressured_cfg();
-    for (a, b) in all_policies(&cfg).into_iter().zip(all_policies(&cfg)) {
+/// The same mix fed from live generators instead of the trace arena.
+fn streaming_sys_for(cfg: &SystemConfig, mix_idx: usize, policy: Box<dyn LlcPolicy>) -> CmpSystem {
+    let mix = &two_app_mixes()[mix_idx];
+    CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(mix, SEED))
+}
+
+/// Runs every policy in the zoo on `mix_idx` twice, arena-fed and
+/// generator-fed, and asserts the same `RunResult` and end snapshot.
+fn assert_feeds_agree(cfg: &SystemConfig, mix_idx: usize) {
+    for (a, b) in all_policies(cfg).into_iter().zip(all_policies(cfg)) {
         let name = a.name().to_string();
-        let mut streaming = sys_for(&cfg, 0, a);
-        let mut batched = sys_for(&cfg, 0, b);
-        let rs = streaming.run_streaming(INSTRS, WARMUP);
+        let mut streaming = streaming_sys_for(cfg, mix_idx, a);
+        let mut batched = sys_for(cfg, mix_idx, b);
+        let rs = streaming.run_batched(INSTRS, WARMUP);
         let rb = batched.run_batched(INSTRS, WARMUP);
-        assert_eq!(rb, rs, "{name}: RunResult diverged under batching");
+        assert_eq!(
+            rb, rs,
+            "{name}: arena-fed RunResult diverged from generator-fed"
+        );
         assert_eq!(
             batched.snapshot(),
             streaming.snapshot(),
-            "{name}: end-state snapshot diverged under batching"
+            "{name}: arena-fed end-state snapshot diverged from generator-fed"
         );
     }
 }
 
-/// The streaming workload path (no materialized chunks, so every access
-/// goes through the batched loop's per-access fallback) is also identical.
+/// Every policy the simulator can drive: the arena-fed batched run (chunk
+/// path) equals the generator-fed one (per-access path) on the pressured
+/// system, down to the end-state snapshot bytes (tags, recency words,
+/// policy state, feed positions — everything `snapshot()` serializes).
 #[test]
-fn batched_matches_streaming_without_trace_chunks() {
-    use cmp_sim::mix_workloads;
-    let cfg = small_config(2);
-    let mix = &two_app_mixes()[1];
-    for (a, b) in all_policies(&cfg).into_iter().zip(all_policies(&cfg)) {
-        let name = a.name().to_string();
-        let mut streaming = CmpSystem::new(cfg.clone(), a, mix_workloads(mix, SEED));
-        let mut batched = CmpSystem::new(cfg.clone(), b, mix_workloads(mix, SEED));
-        let rs = streaming.run_streaming(INSTRS, WARMUP);
-        let rb = batched.run_batched(INSTRS, WARMUP);
-        assert_eq!(rb, rs, "{name}: generator-fed RunResult diverged");
-    }
+fn batched_matches_streaming_for_every_policy() {
+    assert_feeds_agree(&pressured_cfg(), 0);
 }
 
-/// An 8-worker sweep of *batched* runs must be byte-identical to the
-/// sequential *streaming* engine — batching composes with the parallel
-/// fan-out without perturbing any run.
+/// The same comparison on the larger `small_config` system and another
+/// mix: with no trace chunks every access of the generator-fed run goes
+/// through the batched loop's per-access path, and it still matches the
+/// chunk path for every policy.
+#[test]
+fn batched_matches_streaming_without_trace_chunks() {
+    assert_feeds_agree(&small_config(2), 1);
+}
+
+/// An 8-worker sweep of arena-fed batched runs must be byte-identical to
+/// one worker running the generator-fed ones in sequence — neither the
+/// parallel fan-out nor the feed perturbs any run.
 #[test]
 fn eight_worker_batched_sweep_matches_sequential_streaming() {
     let cfg = pressured_cfg();
@@ -90,16 +101,15 @@ fn eight_worker_batched_sweep_matches_sequential_streaming() {
             Box::new(cmp_cache::PrivateBaseline::new())
         }
     };
-    let sequential: Vec<_> = jobs
-        .iter()
-        .map(|&(m, a)| sys_for(&cfg, m, build(a)).run_streaming(INSTRS, WARMUP))
-        .collect();
+    let sequential = SweepPool::with_jobs(1).map(jobs.clone(), |(m, a)| {
+        streaming_sys_for(&cfg, m, build(a)).run_batched(INSTRS, WARMUP)
+    });
     let parallel = SweepPool::with_jobs(8).map(jobs, |(m, a)| {
         sys_for(&cfg, m, build(a)).run_batched(INSTRS, WARMUP)
     });
     assert_eq!(
         parallel, sequential,
-        "an 8-worker batched sweep diverged from the sequential streaming engine"
+        "an 8-worker batched sweep diverged from the one-worker generator-fed sweep"
     );
 }
 

@@ -11,9 +11,13 @@
 //! The per-test case counts sum to over 1000 (overridable with
 //! `PROPTEST_CASES`), split across the ASCC family, AVGCC, QoS-AVGCC, and
 //! the post-2012 frontier policies (ARC, TinyLFU admission, RD-CB).
+//!
+//! The lockstep cases step each core explicitly and so bypass the engine's
+//! scheduler; `batched_scheduler_matches_oracle_interleave` covers it by
+//! running the batched event loop against the oracle's spec-literal
+//! lowest-clock interleave.
 
 use ascc_integration::diff::{self, DiffCase, DiffOp, DiffPolicy};
-use cmp_coherence::FabricKind;
 use proptest::prelude::*;
 
 type Shape = (u8, u8, u16, bool, u8, u32);
@@ -47,7 +51,6 @@ fn make_case(sh: Shape, policy: DiffPolicy, raw: Vec<(u8, u32, bool)>) -> DiffCa
         migrate,
         mem_q,
         check_every,
-        fabric: FabricKind::Directory,
         policy,
         ops: raw
             .into_iter()
@@ -178,14 +181,68 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
-    /// The broadcast bus and the sharer-bitmask directory are bit-identical
-    /// fabrics: the same case run on both engines in lockstep must agree on
-    /// every cache line, recency order, counter, and policy register at
-    /// every checkpoint. Only `probes` may differ, and the directory's
-    /// count must never exceed broadcast's — that O(sharers) <= O(cores)
-    /// saving is the whole point of the snoop filter. The broadcast engine
-    /// is additionally diffed against the oracle in broadcast mode, so the
-    /// reference fabric keeps its own oracle coverage.
+    /// The batched event loop schedules exactly as the spec does: stopped
+    /// after `n` global accesses of the case's per-core scripts, it is in
+    /// the same state as the oracle after `n` lowest-clock-first picks
+    /// (ties to the lowest core index). Both the drain mode's horizon test
+    /// and the step mode's argmin are on this path; the lockstep cases
+    /// above drive `step()` directly and never reach either.
+    #[test]
+    fn batched_scheduler_matches_oracle_interleave(
+        sh in shape(),
+        knobs in (0u8..6, prop::bool::ANY, 0u64..1 << 48),
+        n in 1u64..640,
+        raw in ops(),
+    ) {
+        let (variant, swap, seed) = knobs;
+        let case = make_case(sh, DiffPolicy::Ascc { variant, swap, seed }, raw);
+        diff::assert_case_interleaved(&case, n);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// The batched front-end the experiment binaries run is feed-blind on
+    /// random mix/policy/seed/scale draws: a mix replayed from the trace
+    /// arena (chunk drains) and the same mix pulled one access at a time
+    /// from its live generators (the streaming path) give bit-identical
+    /// results *and* end-state snapshots. The scripted cases here drive
+    /// `step()` or script feeds and never reach either real feed.
+    #[test]
+    fn batched_front_end_matches_streaming(
+        mix_idx in 0usize..14,
+        policy_idx in 0usize..14,
+        seed in 0u64..1 << 16,
+        instrs in 10_000u64..50_000,
+    ) {
+        use ascc_integration::{all_policies, small_config};
+        use cmp_sim::{mix_sources, mix_workloads, CmpSystem};
+        use cmp_trace::two_app_mixes;
+        let cfg = small_config(2);
+        let mix = &two_app_mixes()[mix_idx];
+        let build = || all_policies(&cfg).remove(policy_idx);
+        let mut streaming = CmpSystem::from_sources(cfg.clone(), build(), mix_workloads(mix, seed));
+        let mut batched = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, seed));
+        let rs = streaming.run_batched(instrs, instrs / 4);
+        let rb = batched.run_batched(instrs, instrs / 4);
+        prop_assert_eq!(rb, rs, "arena-fed front-end diverged from generator-fed");
+        prop_assert_eq!(
+            batched.snapshot(),
+            streaming.snapshot(),
+            "arena-fed end-state snapshot diverged from generator-fed"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+    /// The directory fabric is bit-identical to the paper's broadcast bus.
+    /// The oracle is the broadcast spec for every cache line, recency
+    /// order, counter and policy register, so the case must match it in
+    /// lockstep. Only `probes` may differ from broadcast, whose count is the
+    /// closed form `snoops × (cores − 1)`; the directory's count must never
+    /// exceed it after any access — that O(sharers) <= O(cores) saving is
+    /// the whole point of the snoop filter.
     #[test]
     fn broadcast_and_directory_fabrics_are_bit_identical(
         sh in shape(),
@@ -193,13 +250,55 @@ proptest! {
         raw in ops(),
     ) {
         let (variant, swap, seed) = knobs;
-        let mut case = make_case(sh, DiffPolicy::Ascc { variant, swap, seed }, raw);
-        if let Err(e) = diff::run_case_cross_fabric(&case) {
-            panic!("fabric divergence: {e}");
-        }
-        case.fabric = FabricKind::Broadcast;
+        let case = make_case(sh, DiffPolicy::Ascc { variant, swap, seed }, raw);
         diff::assert_case(&case);
+        let mut real = diff::build_real(&case);
+        for (i, op) in case.ops.iter().enumerate() {
+            real.step((op.core % case.cores) as usize);
+            let stats = real.fabric().stats();
+            prop_assert!(
+                stats.probes <= stats.broadcast_probes(case.cores as usize),
+                "after op {}: directory probed {} peers, broadcast would probe {}",
+                i,
+                stats.probes,
+                stats.broadcast_probes(case.cores as usize)
+            );
+        }
     }
+}
+
+/// One long fixed 4-core run through the same check. Core 0 alternates a
+/// phase of L1 hits (long drains while its peers stall on misses) with a
+/// phase of misses (single-access drains), so the run crosses many
+/// 2048-access probe windows and the loop switches between drain and step
+/// mode, and back, before the comparison.
+#[test]
+fn batched_scheduler_matches_oracle_interleave_across_probe_windows() {
+    let mut ops = Vec::new();
+    for i in 0..4096u32 {
+        ops.push((0, i % 2, false));
+    }
+    for i in 0..1024u32 {
+        ops.push((0, 8 + i % 64, i.is_multiple_of(5)));
+    }
+    let mut x = 0x5EED_u64;
+    for _ in 0..3072 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let core = 1 + ((x >> 33) % 3) as u8;
+        ops.push((core, ((x >> 17) % 96) as u32, (x >> 7).is_multiple_of(4)));
+    }
+    let case = make_case(
+        (4, 3, 4, true, 1, 1),
+        DiffPolicy::Ascc {
+            variant: 0,
+            swap: true,
+            seed: 0xA5CC,
+        },
+        ops,
+    );
+    diff::assert_case_interleaved(&case, 90_000);
 }
 
 proptest! {
@@ -261,40 +360,6 @@ proptest! {
         if let Err(e) = diff::run_case_resumed(&case, split) {
             panic!("engine resumed at op {split} diverges from the oracle: {e}");
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-    /// The batched event loop (`ASCC_BATCH` on, the default) never diverges
-    /// from the per-access streaming interleave: random mix/policy/scale
-    /// draws must produce bit-identical results *and* end-state snapshots.
-    /// The scripted oracle cases above drive `step()` directly and so
-    /// bypass the front-end; this case covers the batched front-end the
-    /// real experiment binaries run.
-    #[test]
-    fn batched_front_end_matches_streaming(
-        mix_idx in 0usize..14,
-        policy_idx in 0usize..14,
-        seed in 0u64..1 << 16,
-        instrs in 10_000u64..50_000,
-    ) {
-        use ascc_integration::{all_policies, small_config};
-        use cmp_sim::{mix_sources, CmpSystem};
-        use cmp_trace::two_app_mixes;
-        let cfg = small_config(2);
-        let mix = &two_app_mixes()[mix_idx];
-        let build = || all_policies(&cfg).remove(policy_idx);
-        let mut streaming = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, seed));
-        let mut batched = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, seed));
-        let rs = streaming.run_streaming(instrs, instrs / 4);
-        let rb = batched.run_batched(instrs, instrs / 4);
-        prop_assert_eq!(rb, rs, "batched front-end diverged from streaming");
-        prop_assert_eq!(
-            batched.snapshot(),
-            streaming.snapshot(),
-            "batched end-state snapshot diverged from streaming"
-        );
     }
 }
 

@@ -17,7 +17,7 @@ fn mt_config(cores: usize) -> cmp_sim::SystemConfig {
 #[test]
 fn shared_data_produces_remote_hits_then_replicas() {
     let cfg = mt_config(4);
-    let mut sys = CmpSystem::new(
+    let mut sys = CmpSystem::from_sources(
         cfg.clone(),
         Box::new(PrivateBaseline::new()),
         ParallelBench::Streamcluster.workloads(4, 5),
@@ -37,7 +37,7 @@ fn every_parallel_model_runs_under_avgcc() {
     let cfg = mt_config(4);
     for b in ParallelBench::ALL {
         let policy = AvgccConfig::avgcc(cfg.cores, cfg.l2.sets(), cfg.l2.ways()).build();
-        let mut sys = CmpSystem::new(cfg.clone(), Box::new(policy), b.workloads(4, 9));
+        let mut sys = CmpSystem::from_sources(cfg.clone(), Box::new(policy), b.workloads(4, 9));
         let r = sys.run(80_000, 20_000);
         assert!(
             r.cores.iter().all(|c| c.instrs >= 80_000),
@@ -53,7 +53,7 @@ fn writes_to_shared_data_invalidate_replicas() {
     // radix has shared read-write traffic (40% stores): after a run, no
     // line may be Modified in one cache and present in another.
     let cfg = mt_config(2);
-    let mut sys = CmpSystem::new(
+    let mut sys = CmpSystem::from_sources(
         cfg.clone(),
         Box::new(PrivateBaseline::new()),
         ParallelBench::Radix.workloads(2, 3),
@@ -68,7 +68,7 @@ fn avgcc_does_not_break_down_on_shared_workloads() {
     // harm) when sets have a uniform demand across caches.
     let cfg = mt_config(4);
     let run = |policy: Box<dyn cmp_cache::LlcPolicy>| {
-        let mut sys = CmpSystem::new(
+        let mut sys = CmpSystem::from_sources(
             cfg.clone(),
             policy,
             ParallelBench::Streamcluster.workloads(4, 7),

@@ -41,19 +41,24 @@ fn policies(cfg: &SystemConfig) -> Vec<Box<dyn LlcPolicy>> {
 #[test]
 fn null_probe_runs_are_bit_identical_to_probe_free_runs() {
     // The observability layer must be invisible when unobserved: a system
-    // built through `with_probe(NullProbe)` must produce the *same*
+    // built through `with_probe_sources(NullProbe)` must produce the *same*
     // `RunResult`, field for field, as the plain constructor.
     let cfg = small_config(2);
     for mk in [0usize, 1, 2] {
         let plain = {
             let policy = policies(&cfg).swap_remove(mk);
-            let mut sys = CmpSystem::new(cfg.clone(), policy, hungry_plus_idle());
+            let mut sys = CmpSystem::from_sources(cfg.clone(), policy, hungry_plus_idle());
             sys.run(150_000, 30_000)
         };
         let probed = {
             let policy = policies(&cfg).swap_remove(mk);
-            let mut sys =
-                CmpSystem::with_probe(cfg.clone(), policy, hungry_plus_idle(), NullProbe, 0);
+            let mut sys = CmpSystem::with_probe_sources(
+                cfg.clone(),
+                policy,
+                hungry_plus_idle(),
+                NullProbe,
+                0,
+            );
             sys.run(150_000, 30_000)
         };
         assert_eq!(plain, probed, "policy #{mk} diverged under NullProbe");
@@ -70,7 +75,8 @@ fn recorder_totals_reconcile_with_lifetime_counters() {
     let mix = WorkloadMix::new(vec![SpecBench::Omnetpp, SpecBench::Namd]);
     let policy = Box::new(AsccConfig::ascc(2, cfg.l2.sets(), cfg.l2.ways()).build());
     let mut rec = EpochRecorder::new(2);
-    let mut sys = CmpSystem::with_probe(cfg.clone(), policy, mix_workloads(&mix, 1), &mut rec, 0);
+    let mut sys =
+        CmpSystem::with_probe_sources(cfg.clone(), policy, mix_workloads(&mix, 1), &mut rec, 0);
     sys.run(200_000, 50_000);
     let life = sys.lifetime_result();
     drop(sys);
@@ -101,7 +107,8 @@ fn epochs_carry_policy_snapshots_with_set_roles() {
     let cfg = small_config(2);
     let policy = Box::new(AsccConfig::ascc(2, cfg.l2.sets(), cfg.l2.ways()).build());
     let mut rec = EpochRecorder::new(2);
-    let mut sys = CmpSystem::with_probe(cfg.clone(), policy, hungry_plus_idle(), &mut rec, 5_000);
+    let mut sys =
+        CmpSystem::with_probe_sources(cfg.clone(), policy, hungry_plus_idle(), &mut rec, 5_000);
     sys.run(200_000, 50_000);
     drop(sys);
     rec.finish();
@@ -128,7 +135,7 @@ fn avgcc_epoch_snapshots_expose_granularity_trajectory() {
     let mut acfg = AvgccConfig::avgcc(2, cfg.l2.sets(), cfg.l2.ways());
     acfg.epoch_accesses = 5_000;
     let mut rec = EpochRecorder::new(2);
-    let mut sys = CmpSystem::with_probe(
+    let mut sys = CmpSystem::with_probe_sources(
         cfg.clone(),
         Box::new(acfg.build()),
         hungry_plus_idle(),

@@ -35,7 +35,7 @@ fn hungry_plus_idle(cfg: &SystemConfig) -> Vec<CoreWorkload> {
 fn ascc_converts_memory_misses_into_remote_hits() {
     let cfg = small_config(2);
     let run = |policy: Box<dyn cmp_cache::LlcPolicy>| {
-        let mut sys = CmpSystem::new(cfg.clone(), policy, hungry_plus_idle(&cfg));
+        let mut sys = CmpSystem::from_sources(cfg.clone(), policy, hungry_plus_idle(&cfg));
         sys.run(400_000, 100_000)
     };
     let base = run(Box::new(PrivateBaseline::new()));
@@ -84,9 +84,9 @@ fn sabip_fights_capacity_thrashing_without_receivers() {
             },
         ]
     };
-    let mut base_sys = CmpSystem::new(cfg.clone(), Box::new(PrivateBaseline::new()), mk());
+    let mut base_sys = CmpSystem::from_sources(cfg.clone(), Box::new(PrivateBaseline::new()), mk());
     let base = base_sys.run(400_000, 100_000);
-    let mut ascc_sys = CmpSystem::new(
+    let mut ascc_sys = CmpSystem::from_sources(
         cfg.clone(),
         Box::new(AsccConfig::ascc(2, cfg.l2.sets(), cfg.l2.ways()).build()),
         mk(),
@@ -106,7 +106,8 @@ fn avgcc_adapts_granularity_during_a_real_run() {
     let cfg = small_config(2);
     let mut avgcc = AvgccConfig::avgcc(2, cfg.l2.sets(), cfg.l2.ways());
     avgcc.epoch_accesses = 5_000; // downscaled epochs for a downscaled run
-    let mut sys = CmpSystem::new(cfg.clone(), Box::new(avgcc.build()), hungry_plus_idle(&cfg));
+    let mut sys =
+        CmpSystem::from_sources(cfg.clone(), Box::new(avgcc.build()), hungry_plus_idle(&cfg));
     sys.run(400_000, 100_000);
     let snap = sys.policy().snapshot();
     assert_eq!(snap.ab_consistent, Some(true), "A/B counters diverged");
@@ -148,7 +149,7 @@ fn qos_avgcc_limits_degradation_on_hostile_mixes() {
     let sets = cfg.l2.sets();
     let ways = cfg.l2.ways();
     let run = |policy: Box<dyn cmp_cache::LlcPolicy>| {
-        let mut sys = CmpSystem::new(cfg.clone(), policy, mk());
+        let mut sys = CmpSystem::from_sources(cfg.clone(), policy, mk());
         sys.run(300_000, 80_000)
     };
     let base = run(Box::new(PrivateBaseline::new()));
@@ -167,7 +168,6 @@ mod frontier {
 
     use ascc_integration::diff::{self, DiffCase, DiffOp, DiffPolicy};
     use cmp_cache::{CoreId, SetIdx};
-    use cmp_coherence::FabricKind;
     use cmp_sim::CmpSystem;
 
     /// 2 cores, 4 L2 sets x `ways` (L1 is the harness-fixed tiny one):
@@ -183,7 +183,6 @@ mod frontier {
             // divisor interleaves non-memory instructions).
             mem_q: 1,
             check_every: 1,
-            fabric: FabricKind::Directory,
             policy,
             ops: script
                 .iter()

@@ -14,7 +14,7 @@
 use ascc_integration::diff::{run_case_resumed, DiffCase, DiffOp, DiffPolicy};
 use ascc_integration::{all_policies, small_config};
 use cmp_cache::{CacheGeometry, CoreId, LlcPolicy};
-use cmp_sim::{mix_sources, CmpSystem, SystemConfig};
+use cmp_sim::{mix_sources, CmpSystem, RunResult, SystemConfig};
 use cmp_trace::two_app_mixes;
 
 const INSTRS: u64 = 40_000;
@@ -41,6 +41,16 @@ fn pressured_cfg() -> SystemConfig {
     cfg
 }
 
+/// Runs `sys` to completion with `probe` called after every access but the
+/// last, with the state consistent enough to snapshot.
+fn run_every_access(sys: &mut CmpSystem, mut probe: impl FnMut(&mut CmpSystem)) -> RunResult {
+    sys.try_run_batched(INSTRS, WARMUP, 1, |s| {
+        probe(s);
+        true
+    })
+    .expect("an always-continue hook cannot abort the run")
+}
+
 /// Runs `straight` to completion capturing a snapshot at the `capture_at`-th
 /// access, then restores `resumed` (an identically built system) from it and
 /// runs it; asserts results and end states are bit-identical.
@@ -51,17 +61,14 @@ fn assert_resume_identical(
     capture_at: u64,
 ) {
     let mut mid = None;
-    let mut accesses = 0u64;
-    let straight_result = straight.run_with_hook(INSTRS, WARMUP, |s| {
-        accesses += 1;
-        if accesses == capture_at {
-            mid = Some(s.snapshot());
-        }
-    });
+    let straight_result = straight
+        .try_run_batched(INSTRS, WARMUP, capture_at, |s| {
+            mid.get_or_insert_with(|| s.snapshot());
+            true
+        })
+        .expect("an always-continue hook cannot abort the run");
     let straight_end = straight.snapshot();
-    let mid = mid.unwrap_or_else(|| {
-        panic!("{name}: run finished before access {capture_at} ({accesses} hooks)")
-    });
+    let mid = mid.unwrap_or_else(|| panic!("{name}: run finished before access {capture_at}"));
     resumed
         .restore(&mid)
         .unwrap_or_else(|e| panic!("{name}: restore: {e}"));
@@ -112,7 +119,7 @@ fn avgcc_mid_epoch_resume_preserves_granularity_state() {
     let mut straight = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, SEED));
     let mut captured: Option<(Vec<u8>, Vec<u8>, u64)> = None;
     let mut accesses = 0u64;
-    let straight_result = straight.run_with_hook(INSTRS, WARMUP, |s| {
+    let straight_result = run_every_access(&mut straight, |s| {
         accesses += 1;
         if captured.is_some() {
             return;
@@ -167,7 +174,7 @@ fn qos_avgcc_resume_preserves_inhibition_state() {
 
     let mut straight = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, SEED));
     let mut captured: Option<(Vec<u8>, Vec<f64>)> = None;
-    let straight_result = straight.run_with_hook(INSTRS, WARMUP, |s| {
+    let straight_result = run_every_access(&mut straight, |s| {
         if captured.is_none() {
             let r = ratios(s);
             if r.iter().any(|&x| x != 1.0) {
@@ -189,44 +196,44 @@ fn qos_avgcc_resume_preserves_inhibition_state() {
 /// The directory fabric's sharer table is derived state: a snapshot holds
 /// only its stats and a digest, and restore rebuilds the table from the
 /// restored L2s, validating the digest. A mid-run round trip must therefore
-/// be bit-identical on *both* fabrics, and a snapshot taken on one fabric
-/// must refuse to restore into a system configured with the other.
+/// be bit-identical, and a snapshot taken on the retired broadcast bus
+/// (fingerprint fabric byte 0) must be refused as a typed mismatch, not
+/// restored and not a panic.
 #[test]
 fn fabrics_resume_bit_identically_and_reject_cross_restore() {
-    use cmp_coherence::FabricKind;
+    let cfg = pressured_cfg();
     let mix = &two_app_mixes()[0];
-    for kind in [FabricKind::Broadcast, FabricKind::Directory] {
-        let cfg = pressured_cfg().with_fabric(kind);
-        let build = || {
-            CmpSystem::from_sources(
-                cfg.clone(),
-                all_policies(&cfg).remove(0),
-                mix_sources(mix, SEED),
-            )
-        };
-        assert_resume_identical(&format!("{kind:?} fabric"), build(), build(), 7_777);
-
-        let other = match kind {
-            FabricKind::Broadcast => FabricKind::Directory,
-            FabricKind::Directory => FabricKind::Broadcast,
-        };
-        let mut donor = build();
-        donor.run(2_000, 500);
-        let snap = donor.snapshot();
-        let other_cfg = cfg.clone().with_fabric(other);
-        let mut wrong = CmpSystem::from_sources(
-            other_cfg.clone(),
-            all_policies(&other_cfg).remove(0),
+    let build = || {
+        CmpSystem::from_sources(
+            cfg.clone(),
+            all_policies(&cfg).remove(0),
             mix_sources(mix, SEED),
-        );
-        let err = wrong
-            .restore(&snap)
-            .expect_err("cross-fabric restore must be rejected");
-        assert!(
-            err.to_string().contains("fabric"),
-            "unexpected cross-fabric restore error: {err}"
-        );
-    }
+        )
+    };
+    assert_resume_identical("directory fabric", build(), build(), 7_777);
+
+    let mut donor = build();
+    donor.run(2_000, 500);
+    let mut snap = donor.snapshot();
+    // Envelope: 8-byte magic, u16 version; then the fingerprint section's
+    // tag byte and u64 payload length. The fabric byte ends the payload.
+    let len = u64::from_le_bytes(snap[11..19].try_into().unwrap()) as usize;
+    let fabric_at = 19 + len - 1;
+    assert_eq!(
+        snap[fabric_at], 1,
+        "directory snapshots carry fabric byte 1"
+    );
+    build()
+        .restore(&snap)
+        .expect("a directory snapshot restores");
+    snap[fabric_at] = 0;
+    let err = build()
+        .restore(&snap)
+        .expect_err("a broadcast-era snapshot must be rejected");
+    assert!(
+        matches!(err, cmp_snap::SnapError::Mismatch(_)) && err.to_string().contains("fabric"),
+        "unexpected broadcast-era restore error: {err}"
+    );
 }
 
 /// ARC captured with live adaptive state — non-empty ghost lists and at
@@ -260,7 +267,7 @@ fn arc_resume_preserves_ghost_lists_and_p_targets() {
 
     let mut straight = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, SEED));
     let mut captured = None;
-    let straight_result = straight.run_with_hook(INSTRS, WARMUP, |s| {
+    let straight_result = run_every_access(&mut straight, |s| {
         if captured.is_none() {
             let (per_set, hits) = arc_state(s);
             let adapted = per_set.iter().any(|(p, _, _)| *p > 0);
@@ -317,7 +324,7 @@ fn tinylfu_resume_preserves_sketch_and_reset_epoch() {
 
     let mut straight = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, SEED));
     let mut captured = None;
-    let straight_result = straight.run_with_hook(INSTRS, WARMUP, |s| {
+    let straight_result = run_every_access(&mut straight, |s| {
         if captured.is_none() {
             let st = lfu_state(s);
             // Mid-window (samples != 0), post-reset, with a warm sketch.
@@ -368,7 +375,7 @@ fn rdcb_resume_preserves_predictor_and_clocks() {
 
     let mut straight = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, SEED));
     let mut captured = None;
-    let straight_result = straight.run_with_hook(INSTRS, WARMUP, |s| {
+    let straight_result = run_every_access(&mut straight, |s| {
         if captured.is_none() {
             let st = rdcb_state(s);
             let finite =
@@ -425,7 +432,6 @@ fn diff_oracle_accepts_resumed_engine() {
                 migrate: true,
                 mem_q: 2,
                 check_every: 5,
-                fabric: cmp_coherence::FabricKind::Directory,
                 policy: DiffPolicy::Ascc {
                     variant: 0,
                     swap: true,
@@ -443,9 +449,6 @@ fn diff_oracle_accepts_resumed_engine() {
                 migrate: false,
                 mem_q: 3,
                 check_every: 7,
-                // The reference fabric: broadcast resume stays under
-                // oracle scrutiny too.
-                fabric: cmp_coherence::FabricKind::Broadcast,
                 policy: DiffPolicy::Avgcc {
                     qos: true,
                     epoch_accesses: 16,
@@ -466,7 +469,6 @@ fn diff_oracle_accepts_resumed_engine() {
                 migrate: true,
                 mem_q: 2,
                 check_every: 3,
-                fabric: cmp_coherence::FabricKind::Directory,
                 policy: DiffPolicy::Arc,
                 ops: lcg_ops(240, 2, 48, 0xACED),
             },
@@ -480,7 +482,6 @@ fn diff_oracle_accepts_resumed_engine() {
                 migrate: true,
                 mem_q: 2,
                 check_every: 5,
-                fabric: cmp_coherence::FabricKind::Directory,
                 policy: DiffPolicy::TinyLfu {
                     width: 64,
                     depth: 4,
@@ -498,7 +499,6 @@ fn diff_oracle_accepts_resumed_engine() {
                 migrate: true,
                 mem_q: 2,
                 check_every: 5,
-                fabric: cmp_coherence::FabricKind::Directory,
                 policy: DiffPolicy::Rdcb {
                     entries: 64,
                     threshold: 32,

@@ -36,7 +36,7 @@ fn swap_keeps_last_copies_on_chip() {
         c.build()
     };
     let run = |swap: bool| {
-        let mut sys = CmpSystem::new(
+        let mut sys = CmpSystem::from_sources(
             cfg.clone(),
             Box::new(build(swap)),
             vec![
@@ -66,7 +66,7 @@ fn prefetcher_reduces_stream_memory_stalls() {
     let mut cfg = small_config(1);
     let mut run = |pf: Option<PrefetchConfig>| {
         cfg.prefetch = pf;
-        let mut sys = CmpSystem::new(
+        let mut sys = CmpSystem::from_sources(
             cfg.clone(),
             Box::new(PrivateBaseline::new()),
             vec![loop_workload("stream", 0, 32 << 20)],
@@ -100,7 +100,8 @@ fn prefetcher_leaves_random_traffic_alone() {
     };
     let mut run = |pf: Option<PrefetchConfig>| {
         cfg.prefetch = pf;
-        let mut sys = CmpSystem::new(cfg.clone(), Box::new(PrivateBaseline::new()), vec![mk()]);
+        let mut sys =
+            CmpSystem::from_sources(cfg.clone(), Box::new(PrivateBaseline::new()), vec![mk()]);
         sys.run(200_000, 50_000)
     };
     let without = run(None);
@@ -128,7 +129,7 @@ fn swap_respects_replication_mode() {
         cpu: cpu(),
         stream: Box::new(CyclicStream::new(0x1000_0000, 16 << 10, 32, 0)),
     };
-    let mut sys = CmpSystem::new(
+    let mut sys = CmpSystem::from_sources(
         cfg.clone(),
         Box::new(AsccConfig::ascc(2, sets, ways).build()),
         vec![shared(), shared()],

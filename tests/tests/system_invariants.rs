@@ -13,7 +13,7 @@ fn inclusion_and_coherence_hold_under_every_policy() {
     let mix = &four_app_mixes()[1];
     for policy in all_policies(&cfg) {
         let name = policy.name().to_string();
-        let mut sys = CmpSystem::new(cfg.clone(), policy, mix_workloads(mix, 7));
+        let mut sys = CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(mix, 7));
         sys.run(120_000, 30_000);
         sys.assert_inclusive();
         assert_coherent(sys.l2s());
@@ -28,7 +28,7 @@ fn multiprogrammed_lines_have_at_most_one_copy() {
     let cfg = small_config(2);
     let mix = &two_app_mixes()[0];
     for policy in all_policies(&cfg) {
-        let mut sys = CmpSystem::new(cfg.clone(), policy, mix_workloads(mix, 3));
+        let mut sys = CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(mix, 3));
         let r = sys.run(150_000, 30_000);
         let mut seen = std::collections::HashSet::new();
         for cache in sys.l2s() {
@@ -52,7 +52,7 @@ fn multithreaded_runs_stay_coherent_under_every_policy() {
     cfg.read_policy = cmp_coherence::ReadPolicy::Replicate;
     for policy in all_policies(&cfg) {
         let workloads = ParallelBench::Lu.workloads(4, 11);
-        let mut sys = CmpSystem::new(cfg.clone(), policy, workloads);
+        let mut sys = CmpSystem::from_sources(cfg.clone(), policy, workloads);
         let r = sys.run(100_000, 25_000);
         sys.assert_inclusive();
         assert_coherent(sys.l2s());
@@ -65,7 +65,8 @@ fn prefetcher_keeps_invariants() {
     let mut cfg = small_config(2);
     cfg.prefetch = Some(cmp_cache::PrefetchConfig::default());
     for policy in all_policies(&cfg) {
-        let mut sys = CmpSystem::new(cfg.clone(), policy, mix_workloads(&two_app_mixes()[1], 5));
+        let mut sys =
+            CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(&two_app_mixes()[1], 5));
         sys.run(100_000, 25_000);
         sys.assert_inclusive();
         assert_coherent(sys.l2s());
@@ -76,7 +77,8 @@ fn prefetcher_keeps_invariants() {
 fn counters_are_self_consistent() {
     let cfg = small_config(2);
     for policy in all_policies(&cfg) {
-        let mut sys = CmpSystem::new(cfg.clone(), policy, mix_workloads(&two_app_mixes()[3], 9));
+        let mut sys =
+            CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(&two_app_mixes()[3], 9));
         let r = sys.run(150_000, 30_000);
         for c in &r.cores {
             assert_eq!(

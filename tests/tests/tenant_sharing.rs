@@ -119,12 +119,10 @@ fn tenant_arena_replay_matches_streaming_generation() {
             tenant_sources(s, cfg.cores, SEED),
         )
         .run(INSTRS, WARMUP);
-        let streamed = CmpSystem::new(
+        let streamed = CmpSystem::from_sources(
             cfg.clone(),
             ascc_policy(&cfg),
-            (0..cfg.cores)
-                .map(|c| s.workload(cfg.cores, c, SEED))
-                .collect(),
+            (0..cfg.cores).map(|c| s.workload(cfg.cores, c, SEED)),
         )
         .run(INSTRS, WARMUP);
         assert_eq!(replayed, streamed, "{s}: arena replay diverged");
@@ -185,29 +183,26 @@ fn tenant_churn_state_survives_snapshot_resume() {
     };
     let cfg = small_config(2);
     let build = || {
-        let workloads = (0..cfg.cores)
-            .map(|c| cmp_trace::CoreWorkload {
-                label: format!("churny.c{c}"),
-                cpu,
-                stream: Box::new(TenantStream::new(params, cfg.cores, c, c, SEED)),
-            })
-            .collect();
-        CmpSystem::new(cfg.clone(), ascc_policy(&cfg), workloads)
+        let workloads = (0..cfg.cores).map(|c| cmp_trace::CoreWorkload {
+            label: format!("churny.c{c}"),
+            cpu,
+            stream: Box::new(TenantStream::new(params, cfg.cores, c, c, SEED)),
+        });
+        CmpSystem::from_sources(cfg.clone(), ascc_policy(&cfg), workloads)
     };
 
     let mut straight = build();
     let mut mid = None;
-    let mut accesses = 0u64;
     // 12 000 global accesses ~ 6 000 per core stream: at least one churn
     // event behind the snapshot on every core.
-    let straight_result = straight.run_with_hook(INSTRS, WARMUP, |s| {
-        accesses += 1;
-        if accesses == 12_000 {
-            mid = Some(s.snapshot());
-        }
-    });
+    let straight_result = straight
+        .try_run_batched(INSTRS, WARMUP, 12_000, |s| {
+            mid.get_or_insert_with(|| s.snapshot());
+            true
+        })
+        .expect("an always-continue hook cannot abort the run");
     let straight_end = straight.snapshot();
-    let mid = mid.unwrap_or_else(|| panic!("run finished before capture ({accesses} accesses)"));
+    let mid = mid.expect("run finished before the capture at access 12 000");
 
     let mut resumed = build();
     resumed.restore(&mid).expect("restore churny snapshot");
