@@ -3,14 +3,19 @@
 //! Scope: exactly what a single-host control plane needs. One request per
 //! connection (`Connection: close`), `Content-Length` bodies only (no
 //! chunked encoding), no TLS, no percent-decoding beyond `%xx` in paths.
-//! Every connection is handled on its own thread; the accept loop polls a
-//! shutdown flag so [`HttpServer::serve`] returns cleanly when asked.
+//! Every connection is handled on its own thread. The accept loop blocks
+//! in `accept()`, so a request is picked up the moment it connects;
+//! [`ShutdownHandle::shutdown`] sets a flag and wakes the loop with one
+//! loopback connection. [`HttpServer::serve`] then joins the in-flight
+//! request threads, each bounded by the per-connection I/O timeout, and
+//! returns.
 
 use cmp_json::Value;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Upper bound on request head (request line + headers) bytes.
@@ -21,6 +26,11 @@ const MAX_BODY: usize = 16 * 1024 * 1024;
 /// Per-connection socket timeout: a stalled peer must not pin a handler
 /// thread forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long [`ShutdownHandle::shutdown`] waits for its wake connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+/// Pause after an accept error (e.g. out of file descriptors), so a
+/// persistent error does not spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -158,18 +168,31 @@ impl Response {
 
 /// A handle that asks a running [`HttpServer::serve`] loop to stop.
 ///
-/// Clones share the flag. The accept loop notices within its polling
-/// interval (tens of milliseconds); in-flight request threads finish
-/// their response first.
+/// Clones share the flag. A handle from [`HttpServer::shutdown_handle`]
+/// also knows the listener's address: [`shutdown`](Self::shutdown) makes
+/// one loopback connection there to wake the blocked `accept()`, so the
+/// loop stops at once. `serve` then joins the in-flight request threads
+/// (each bounded by the per-connection I/O timeout), so they finish their
+/// response first. A [`Default`] handle has no address and only sets the
+/// flag.
 #[derive(Debug, Clone, Default)]
 pub struct ShutdownHandle {
     flag: Arc<AtomicBool>,
+    wake: Option<SocketAddr>,
 }
 
 impl ShutdownHandle {
-    /// Requests shutdown. Idempotent.
+    /// Requests shutdown. Idempotent: only the first call wakes the loop.
     pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
+        if self.flag.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(addr) = self.wake {
+            // The kernel completes the handshake from its backlog, so this
+            // returns without waiting for the loop; `serve` drops the
+            // connection unanswered. A failure means the listener is gone.
+            let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        }
     }
 
     /// Whether shutdown has been requested.
@@ -191,9 +214,19 @@ impl HttpServer {
     /// back with [`local_addr`](HttpServer::local_addr)).
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         Ok(HttpServer {
             listener,
-            shutdown: ShutdownHandle::default(),
+            shutdown: ShutdownHandle {
+                flag: Arc::default(),
+                wake: Some(wake),
+            },
         })
     }
 
@@ -208,34 +241,37 @@ impl HttpServer {
     }
 
     /// Accepts connections until shutdown is requested, handling each on
-    /// its own thread. The handler sees every syntactically valid request;
-    /// malformed requests are answered with `400` without reaching it. A
-    /// handler panic answers `500` (the catch keeps one bad request from
-    /// wedging the daemon).
+    /// its own thread, then joins the threads still running. The handler
+    /// sees every syntactically valid request; malformed requests are
+    /// answered with `400` without reaching it. A handler panic answers
+    /// `500` (the catch keeps one bad request from wedging the daemon).
     pub fn serve<H>(self, handler: Arc<H>)
     where
         H: Fn(&Request) -> Response + Send + Sync + 'static,
     {
-        self.listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        loop {
-            if self.shutdown.is_shutdown() {
-                return;
-            }
+        let mut in_flight: Vec<JoinHandle<()>> = Vec::new();
+        while !self.shutdown.is_shutdown() {
             match self.listener.accept() {
+                // The wake connection, or a client that raced shutdown:
+                // dropped unanswered.
+                Ok(_) if self.shutdown.is_shutdown() => break,
                 Ok((stream, _peer)) => {
+                    in_flight.retain(|h| !h.is_finished());
                     let handler = Arc::clone(&handler);
-                    std::thread::spawn(move || handle_connection(stream, handler));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                    in_flight.push(std::thread::spawn(move || {
+                        handle_connection(stream, handler)
+                    }));
                 }
                 Err(e) => {
                     eprintln!("[http] accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
             }
+        }
+        // Refuse new connections while the last responses are written.
+        drop(self.listener);
+        for h in in_flight {
+            let _ = h.join();
         }
     }
 }
@@ -258,17 +294,23 @@ where
     }
 }
 
-/// Reads and parses one request from the stream.
-fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// Reads and parses one request from the stream. Reads at most one chunk
+/// past [`MAX_HEAD`] while looking for the end of the head, and never
+/// past the end of the body its `Content-Length` announces.
+fn read_request(stream: &mut impl Read) -> Result<Request, String> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
+    // Bytes before `scanned` hold no complete `\r\n\r\n`, so each read
+    // rescans only its own bytes plus three (a terminator may straddle).
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
+        if let Some(pos) = find_head_end(&buf[scanned..]) {
+            break scanned + pos;
         }
         if buf.len() > MAX_HEAD {
             return Err("request head too large".into());
         }
+        scanned = buf.len().saturating_sub(3);
         let n = stream.read(&mut chunk).map_err(|e| format!("read: {e}"))?;
         if n == 0 {
             return Err("connection closed mid-request".into());
@@ -300,8 +342,12 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         .iter()
         .find(|(n, _)| n == "content-length")
         .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| format!("bad Content-Length {v:?}"))
+            // Digits only: `usize::from_str` would also take a `+` sign.
+            v.bytes()
+                .all(|b| b.is_ascii_digit())
+                .then(|| v.parse::<usize>().ok())
+                .flatten()
+                .ok_or_else(|| format!("bad Content-Length {v:?}"))
         })
         .transpose()?
         .unwrap_or(0);
@@ -310,8 +356,9 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     }
     let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
+        let want = (content_length - body.len()).min(chunk.len());
         let n = stream
-            .read(&mut chunk)
+            .read(&mut chunk[..want])
             .map_err(|e| format!("read body: {e}"))?;
         if n == 0 {
             return Err("connection closed mid-body".into());
@@ -360,12 +407,14 @@ fn percent_decode(s: &str) -> Result<String, String> {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes
-                    .get(i + 1..i + 3)
-                    .and_then(|h| std::str::from_utf8(h).ok())
-                    .and_then(|h| u8::from_str_radix(h, 16).ok())
+                // Exactly two hex digits: `u8::from_str_radix` would also
+                // take a sign, decoding `%+f` to 0x0F.
+                let digit = |j: usize| bytes.get(j).and_then(|&b| (b as char).to_digit(16));
+                let byte = digit(i + 1)
+                    .zip(digit(i + 2))
+                    .map(|(hi, lo)| (hi * 16 + lo) as u8)
                     .ok_or_else(|| format!("bad percent escape in {s:?}"))?;
-                out.push(hex);
+                out.push(byte);
                 i += 3;
             }
             b'+' => {
@@ -424,57 +473,118 @@ pub fn request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::Instant;
 
-    fn spawn_echo_server() -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
-        let server = HttpServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap();
+    /// Serves `handler` on `bind`; returns the loopback address to reach it.
+    fn spawn_server(
+        bind: &str,
+        handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
+    ) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
+        let server = HttpServer::bind(bind).unwrap();
+        let port = server.local_addr().unwrap().port();
         let shutdown = server.shutdown_handle();
-        let join = std::thread::spawn(move || {
-            server.serve(Arc::new(|req: &Request| match req.path.as_str() {
-                "/panic" => panic!("boom"),
-                "/echo" => Response::ok_json(
-                    &Value::object()
-                        .insert("method", req.method.clone())
-                        .insert("body", String::from_utf8_lossy(&req.body).to_string())
-                        .insert("q", req.query_param("q").unwrap_or_default().to_string()),
-                ),
-                _ => Response::not_found(&req.path),
-            }))
-        });
-        (addr, shutdown, join)
+        let join = std::thread::spawn(move || server.serve(Arc::new(handler)));
+        (SocketAddr::from(([127, 0, 0, 1], port)), shutdown, join)
+    }
+
+    fn spawn_echo_server(bind: &str) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
+        spawn_server(bind, |req: &Request| match req.path.as_str() {
+            "/panic" => panic!("boom"),
+            "/echo" => Response::ok_json(
+                &Value::object()
+                    .insert("method", req.method.clone())
+                    .insert("body", String::from_utf8_lossy(&req.body).to_string())
+                    .insert("q", req.query_param("q").unwrap_or_default().to_string()),
+            ),
+            _ => Response::not_found(&req.path),
+        })
     }
 
     #[test]
     fn round_trips_requests_and_shuts_down() {
-        let (addr, shutdown, join) = spawn_echo_server();
+        // The unspecified address exercises the wake's rewrite to loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let (addr, shutdown, join) = spawn_echo_server(bind);
 
-        let (status, body) = request(addr, "GET", "/echo?q=a%20b", None).unwrap();
-        assert_eq!(status, 200);
-        let doc = Value::parse(&body).unwrap();
-        assert_eq!(doc.get("method").and_then(Value::as_str), Some("GET"));
-        assert_eq!(doc.get("q").and_then(Value::as_str), Some("a b"));
+            let (status, body) = request(addr, "GET", "/echo?q=a%20b", None).unwrap();
+            assert_eq!(status, 200);
+            let doc = Value::parse(&body).unwrap();
+            assert_eq!(doc.get("method").and_then(Value::as_str), Some("GET"));
+            assert_eq!(doc.get("q").and_then(Value::as_str), Some("a b"));
 
-        let (status, body) = request(addr, "POST", "/echo", Some("{\"x\":1}")).unwrap();
-        assert_eq!(status, 200);
-        let doc = Value::parse(&body).unwrap();
-        assert_eq!(doc.get("body").and_then(Value::as_str), Some("{\"x\":1}"));
+            let (status, body) = request(addr, "POST", "/echo", Some("{\"x\":1}")).unwrap();
+            assert_eq!(status, 200);
+            let doc = Value::parse(&body).unwrap();
+            assert_eq!(doc.get("body").and_then(Value::as_str), Some("{\"x\":1}"));
 
-        let (status, _) = request(addr, "GET", "/nope", None).unwrap();
-        assert_eq!(status, 404);
+            let (status, _) = request(addr, "GET", "/nope", None).unwrap();
+            assert_eq!(status, 404);
 
-        // A panicking handler answers 500 and the server stays up.
-        let (status, _) = request(addr, "GET", "/panic", None).unwrap();
-        assert_eq!(status, 500);
-        let (status, _) = request(addr, "GET", "/echo", None).unwrap();
-        assert_eq!(status, 200);
+            // A panicking handler answers 500 and the server stays up.
+            let (status, _) = request(addr, "GET", "/panic", None).unwrap();
+            assert_eq!(status, 500);
+            let (status, _) = request(addr, "GET", "/echo", None).unwrap();
+            assert_eq!(status, 200);
 
+            shutdown.shutdown();
+            join.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn shutdown_waits_for_in_flight_responses() {
+        let started = Arc::new(AtomicBool::new(false));
+        let finished = Arc::new(AtomicBool::new(false));
+        let (s, f) = (Arc::clone(&started), Arc::clone(&finished));
+        let (addr, shutdown, join) = spawn_server("127.0.0.1:0", move |_: &Request| {
+            s.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(200));
+            f.store(true, Ordering::SeqCst);
+            Response::text(200, "done")
+        });
+        let client = std::thread::spawn(move || request(addr, "GET", "/slow", None));
+        while !started.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         shutdown.shutdown();
         join.join().unwrap();
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "serve returned before the handler finished"
+        );
+        let (status, body) = client.join().unwrap().unwrap();
+        assert_eq!((status, body.as_str()), (200, "done"));
+    }
+
+    #[test]
+    fn sequential_requests_do_not_wait_for_a_poll_tick() {
+        let (addr, shutdown, join) = spawn_echo_server("127.0.0.1:0");
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            assert_eq!(request(addr, "GET", "/echo", None).unwrap().0, 200);
+        }
+        let took = t0.elapsed();
+        shutdown.shutdown();
+        join.join().unwrap();
+        assert!(
+            took < Duration::from_millis(200),
+            "20 sequential requests took {took:?}"
+        );
+    }
+
+    #[test]
+    fn default_handle_only_sets_the_flag() {
+        let handle = ShutdownHandle::default();
+        assert!(!handle.is_shutdown());
+        handle.shutdown();
+        handle.shutdown();
+        assert!(handle.is_shutdown());
     }
 
     #[test]
     fn malformed_requests_get_400() {
-        let (addr, shutdown, join) = spawn_echo_server();
+        let (addr, shutdown, join) = spawn_echo_server("127.0.0.1:0");
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(b"NONSENSE\r\n\r\n").unwrap();
         let mut out = String::new();
@@ -496,7 +606,10 @@ mod tests {
             ]
         );
         assert_eq!(percent_decode("a+b%2Fc").unwrap(), "a b/c");
-        assert!(percent_decode("bad%zz").is_err());
+        assert_eq!(percent_decode("%e2%9C%93").unwrap(), "\u{2713}");
+        for bad in ["bad%zz", "%+f", "%+1", "%-1", "%4", "%", "%c3"] {
+            assert!(percent_decode(bad).is_err(), "{bad:?} decoded");
+        }
     }
 
     #[test]
@@ -509,5 +622,127 @@ mod tests {
             body: Vec::new(),
         };
         assert_eq!(req.segments(), vec!["jobs", "job-1"]);
+    }
+
+    /// A reader over fixed bytes that hands them out `step` at a time and
+    /// counts how many it gave.
+    struct Feed<'a> {
+        data: &'a [u8],
+        step: usize,
+        taken: usize,
+    }
+
+    impl Read for Feed<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = out.len().min(self.step).min(self.data.len() - self.taken);
+            out[..n].copy_from_slice(&self.data[self.taken..self.taken + n]);
+            self.taken += n;
+            Ok(n)
+        }
+    }
+
+    /// Decodes `data`, fed `step` bytes per read, and checks the decoder's
+    /// contract: a typed error, or a request whose body is exactly its
+    /// `Content-Length`. Reads stop one chunk past the head limit, and a
+    /// request's reads stop at the end of its body, but for bytes that
+    /// arrived in the same read as the end of its head.
+    fn check_decode(data: &[u8], step: usize) -> Option<Request> {
+        let step = step.clamp(1, 4096);
+        let mut feed = Feed {
+            data,
+            step,
+            taken: 0,
+        };
+        let result = read_request(&mut feed);
+        assert!(
+            feed.taken <= MAX_HEAD + 4096 + MAX_BODY,
+            "read {} bytes",
+            feed.taken
+        );
+        let req = result.ok()?;
+        let declared = req
+            .header("content-length")
+            .map_or(0, |v| v.parse::<usize>().unwrap());
+        assert_eq!(req.body.len(), declared);
+        let head = find_head_end(data).unwrap() + 4;
+        assert!(
+            feed.taken <= (head + declared).max(head.div_ceil(step) * step),
+            "read {} bytes of a {head}-byte head and {declared}-byte body",
+            feed.taken
+        );
+        Some(req)
+    }
+
+    const VALID: &[u8] = b"POST /jobs?x=%2F HTTP/1.1\r\nHost: localhost\r\n\
+Content-Type: application/json\r\nContent-Length: 10\r\n\r\n{\"kind\":1}";
+
+    #[test]
+    fn decoder_accepts_the_valid_request_at_any_read_size() {
+        // A second request behind the first must be left unread.
+        let data = [VALID, b"GET /next HTTP/1.1\r\n\r\n"].concat();
+        for step in [1, 2, 3, 7, 4096] {
+            let req = check_decode(&data, step).unwrap();
+            assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/jobs"));
+            assert_eq!(req.query_param("x"), Some("/"));
+            assert_eq!(req.body, b"{\"kind\":1}");
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_every_truncation_and_oversized_lengths() {
+        for cut in 0..VALID.len() {
+            assert!(read_request(&mut &VALID[..cut]).is_err(), "cut at {cut}");
+        }
+        for len in [
+            (MAX_BODY + 1).to_string(),
+            u64::MAX.to_string(),
+            "18446744073709551616".to_string(),
+            "-1".to_string(),
+            "+10".to_string(),
+        ] {
+            let data =
+                String::from_utf8_lossy(VALID).replace("Length: 10", &format!("Length: {len}"));
+            assert!(
+                read_request(&mut data.as_bytes()).is_err(),
+                "Content-Length {len}"
+            );
+        }
+        // A head that never ends stops one chunk past the limit.
+        let endless = vec![b'a'; 4 * MAX_HEAD];
+        for step in [1, 4096] {
+            let mut feed = Feed {
+                data: &endless,
+                step,
+                taken: 0,
+            };
+            assert!(read_request(&mut feed).is_err());
+            assert!(feed.taken <= MAX_HEAD + 4096, "read {} bytes", feed.taken);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn decoder_survives_arbitrary_bytes(
+            data in prop::collection::vec(0u8..=255, 0..512),
+            step in 1usize..64,
+        ) {
+            check_decode(&data, step);
+        }
+
+        #[test]
+        fn decoder_survives_bit_flips_and_truncations(
+            flips in prop::collection::vec((0usize..VALID.len(), 0u8..8), 0..4),
+            cut in 0usize..=VALID.len(),
+            step in 1usize..64,
+        ) {
+            let mut data = VALID[..cut].to_vec();
+            for (at, bit) in flips {
+                if let Some(b) = data.get_mut(at) {
+                    *b ^= 1 << bit;
+                }
+            }
+            check_decode(&data, step);
+        }
     }
 }
