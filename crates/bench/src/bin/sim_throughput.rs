@@ -25,10 +25,11 @@
 //! two configurations stay distinguishable in archived results). See
 //! `--help` for the full flag ↔ env mapping.
 //!
-//! A coherence-scaling section follows the main sweep: ASCC at 4/8/16/32
-//! cores (or just `--cores` when given) on the directory fabric,
-//! reporting tag probes per L1 access next to the broadcast bus's closed
-//! form, `snoops × (cores − 1)` — the `scaling` block of the JSON
+//! A coherence-scaling section follows the main sweep: ASCC at
+//! 2/4/8/16/32/64 cores (or just `--cores` when given) on the directory
+//! fabric, reporting the simulation rate (traces materialized before the
+//! clock starts) and tag probes per L1 access next to the broadcast bus's
+//! closed form, `snoops × (cores − 1)` — the `scaling` block of the JSON
 //! artifact.
 
 use ascc_bench::cli::Cli;
@@ -241,7 +242,7 @@ fn main() {
     // Coherence scaling: directory probes vs the broadcast closed form.
     let scaling_cores: Vec<usize> = match config.cores {
         Some(n) => vec![n],
-        None => vec![4, 8, 16, 32],
+        None => vec![2, 4, 8, 16, 32, 64],
     };
     let scaling = scaling_sweep(&scaling_cores, scale);
     println!();
@@ -292,8 +293,9 @@ fn main() {
                     .map(|r| {
                         Value::object()
                             .insert("cores", r.cores as f64)
-                            .insert("wall_s", r.wall_s)
+                            .insert("run_s", r.run_s)
                             .insert("accesses", r.accesses as f64)
+                            .insert("simulated_accesses", r.simulated as f64)
                             .insert("accesses_per_sec", r.per_sec())
                             .insert("snoops", r.snoops as f64)
                             .insert("probes", r.probes as f64)

@@ -424,11 +424,18 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// *adaptive*: every [`PROBE_WINDOW`] accesses it measures the mean
     /// drain length, and below [`STEP_THRESHOLD`] it switches to *step
     /// mode* for the next [`STEP_RUN`] accesses — single-access
-    /// first-minimum picks with no horizon computation, no drain
-    /// entry/exit, and the accesses still served from the cached chunk
-    /// run. Both modes execute identical arithmetic in the identical
-    /// first-minimum order, so the interleaving (and every counter) is the
-    /// same regardless of where the mode switches land; the switch points
+    /// first-minimum picks with no horizon computation and no drain
+    /// entry/exit. The pick is the root of a winner tree over the core
+    /// clocks (`sched::WinnerTree`), rebuilt from the clock mirror when
+    /// step mode starts and replayed along one leaf-to-root path after
+    /// each access: ⌈log₂ cores⌉ compares instead of a scan. Accesses are
+    /// still served from the cached chunk run, with the upcoming addresses
+    /// and stream ids prefetched ([`TraceChunk::prefetch`](cmp_trace::TraceChunk::prefetch)):
+    /// at 16 cores step mode walks three arrays per core, more sequential
+    /// streams than the hardware prefetcher tracks. Both modes execute
+    /// identical arithmetic in the identical first-minimum order, so the
+    /// interleaving (and every counter) is the same regardless of where
+    /// the mode switches land; the switch points
     /// themselves are access-count driven and thus deterministic.
     ///
     /// `hook` runs with flushed, snapshot-able state after every
@@ -454,18 +461,19 @@ impl<P: ObsProbe> CmpSystem<P> {
         let mut until_hook = hook_period;
         // The per-drain machinery is the whole ballgame at high core
         // counts (see [`DrainCore`]): per-core scheduler state persists
-        // across drains in dense structs, the scheduler is one fused pass
-        // over a compact clock mirror (see
+        // across drains in dense structs, the drain scheduler is one fused
+        // pass over a compact clock mirror (see
         // [`sched::argmin_and_horizon`](crate::sched) for the
         // first-minimum tie-break contract), cores are flushed only at
         // hooks and at the end of the run, and when a probe window shows
         // drains have degenerated to single accesses the loop drops into
-        // step mode (see the doc comment above). Hooks take `&mut Self`
-        // and may move anything, so every mirror is rebuilt after one
-        // fires.
+        // step mode, scheduled by the winner tree (see the doc comment
+        // above). Hooks take `&mut Self` and may move anything, so every
+        // mirror is rebuilt after one fires.
         let offset_bits = self.cfg.l1.offset_bits();
         let mut drain: Vec<DrainCore> = self.cores.iter().map(DrainCore::load).collect();
         let mut clocks: Vec<f64> = drain.iter().map(|d| d.hot.clock).collect();
+        let mut tree = crate::sched::WinnerTree::new(&clocks);
         // Adaptive-mode state: accesses and drains seen in the current
         // probe window, and accesses left in the current step-mode run.
         let mut probe_acc: u64 = 0;
@@ -473,11 +481,17 @@ impl<P: ObsProbe> CmpSystem<P> {
         let mut step_left: u64 = 0;
         'sched: loop {
             // Step mode: drains have degenerated to ~single accesses, so
-            // skip the horizon and the drain entry/exit entirely — pick
-            // the first-minimum core and execute exactly one access from
-            // its cached run, operating on the dense DrainCore in place.
+            // skip the horizon and the drain entry/exit entirely — read
+            // the first-minimum core off the winner tree and execute
+            // exactly one access from its cached run, operating on the
+            // dense DrainCore in place. The tree is rebuilt from the
+            // clock mirror on entry; drain mode and hooks only update the
+            // mirror.
+            if step_left > 0 {
+                tree.rebuild(&clocks);
+            }
             while step_left > 0 {
-                let i = crate::sched::argmin(&clocks);
+                let i = tree.winner();
                 if drain[i].pos >= drain[i].len {
                     refresh_chunk(&mut drain[i], &mut self.cores[i].source.feed);
                 }
@@ -485,6 +499,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                 let (addr, kind, stream) = if let Some(chunk) = &d.chunk {
                     let idx = d.pos;
                     d.pos = idx + 1;
+                    chunk.prefetch(idx);
                     let kind = if chunk.store_words()[idx >> 6] >> (idx & 63) & 1 == 1 {
                         AccessKind::Store
                     } else {
@@ -497,6 +512,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                 };
                 self.batched_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
                 clocks[i] = d.hot.clock;
+                tree.update(i, d.hot.clock);
                 step_left -= 1;
                 let pause = self.batched_bookkeeping(
                     i,

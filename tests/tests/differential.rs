@@ -301,6 +301,53 @@ fn batched_scheduler_matches_oracle_interleave_across_probe_windows() {
     diff::assert_case_interleaved(&case, 90_000);
 }
 
+/// One fixed 12-core run through the same check, for the step scheduler's
+/// winner tree at a width the proptests never draw: twelve leaves padded
+/// to sixteen, four levels deep. Every core misses its two-set L1 almost
+/// always, so drains are single accesses, the first probe window switches
+/// the loop to step mode, and the stopping hook fires mid-step-run. A
+/// second run stops at the same access after three continuing hooks, so
+/// the tree is also rebuilt from the clock mirror inside step mode.
+#[test]
+fn batched_scheduler_matches_oracle_interleave_at_twelve_cores() {
+    const N: u64 = 24_000;
+    let mut ops = Vec::new();
+    let mut x = 0xC0FF_EE12_u64;
+    for _ in 0..3072 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let core = ((x >> 33) % 12) as u8;
+        ops.push((core, ((x >> 17) % 96) as u32, (x >> 7).is_multiple_of(4)));
+    }
+    let case = make_case(
+        (12, 3, 4, true, 1, 1),
+        DiffPolicy::Ascc {
+            variant: 0,
+            swap: true,
+            seed: 0x12C0,
+        },
+        ops,
+    );
+    diff::assert_case_interleaved(&case, N);
+
+    let mut straight = diff::build_real(&case);
+    let stopped = straight.try_run_batched(u64::MAX, 0, N, |_| false);
+    assert!(stopped.is_none(), "the hook stops the straight run");
+    let mut hooked = diff::build_real(&case);
+    let mut fired = 0;
+    let stopped = hooked.try_run_batched(u64::MAX, 0, N / 4, |_| {
+        fired += 1;
+        fired < 4
+    });
+    assert!(stopped.is_none(), "the fourth hook stops the hooked run");
+    assert_eq!(
+        hooked.snapshot(),
+        straight.snapshot(),
+        "continuing hooks moved the 12-core interleave"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
     /// Resume mode: snapshot/restore the engine at an arbitrary split point

@@ -150,7 +150,7 @@ fn mid_run_restore_matches_golden_runs() {
     }
 }
 
-// ----- wide-engine goldens (8 and 16 cores) ------------------------------
+// ----- wide-engine goldens (8, 12, 16 and 64 cores) ----------------------
 
 const WIDE_INSTRS: u64 = 30_000;
 const WIDE_WARMUP: u64 = 10_000;
@@ -161,16 +161,18 @@ fn wide_golden_path() -> std::path::PathBuf {
 
 /// The 2-core golden config widened: same small caches so the cluster-aware
 /// spill paths (>8 cores route ties to the spiller's cluster) see real
-/// pressure at every width.
+/// pressure at every width. Above 32 cores the L2 doubles to 256 sets, the
+/// fewest that leave DSR+DIP's set monitors a residue per core.
 fn wide_cfg(cores: usize) -> SystemConfig {
     let mut wide = SystemConfig::table2(cores);
+    let l2_bytes = if cores > 32 { 32 << 10 } else { 16 << 10 };
     wide.l1 = CacheGeometry::from_capacity(1 << 10, 2, 32).unwrap();
-    wide.l2 = CacheGeometry::from_capacity(16 << 10, 4, 32).unwrap();
+    wide.l2 = CacheGeometry::from_capacity(l2_bytes, 4, 32).unwrap();
     wide
 }
 
 fn capture_wide() -> Value {
-    let widths: Vec<Value> = [8usize, 16]
+    let widths: Vec<Value> = [8usize, 12, 16, 64]
         .iter()
         .map(|&cores| {
             let cfg = wide_cfg(cores);
@@ -204,11 +206,14 @@ fn capture_wide() -> Value {
         .insert("widths", Value::Array(widths))
 }
 
-/// Pins every policy at 8 and 16 cores, and checks the directory never
-/// probes more than the broadcast bus's closed form. The pinned numbers
-/// were captured when the broadcast bus and the directory still ran side
-/// by side and agreed on them, so they keep the O(sharers) directory
-/// honest at scale, not just in the ≤8-core differential cases.
+/// Pins every policy at 8, 12, 16 and 64 cores, and checks the directory
+/// never probes more than the broadcast bus's closed form. The 8- and
+/// 16-core numbers were captured when the broadcast bus and the directory
+/// still ran side by side and agreed on them, so they keep the O(sharers)
+/// directory honest at scale, not just in the ≤8-core differential cases.
+/// The 12- and 64-core numbers were captured from the linear-scan step
+/// scheduler, so they pin the winner tree's padded (12 leaves in 16) and
+/// deepest (six-level) shapes against it.
 #[test]
 fn wide_engine_matches_goldens_and_fabrics_agree() {
     let got = capture_wide().pretty();
