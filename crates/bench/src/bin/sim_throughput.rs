@@ -294,7 +294,6 @@ fn main() {
                         Value::object()
                             .insert("cores", r.cores as f64)
                             .insert("run_s", r.run_s)
-                            .insert("accesses", r.accesses as f64)
                             .insert("simulated_accesses", r.simulated as f64)
                             .insert("accesses_per_sec", r.per_sec())
                             .insert("snoops", r.snoops as f64)

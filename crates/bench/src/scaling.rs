@@ -26,11 +26,10 @@ pub struct ScalingRow {
     /// Host seconds inside the timed `run_batched` calls (all mixes).
     pub run_s: f64,
     /// Every access those runs simulated
-    /// ([`CmpSystem::total_accesses`]), the rate's numerator.
+    /// ([`CmpSystem::total_accesses`]): the rate's numerator and the
+    /// probe rates' denominator, since the probe counts are whole-run
+    /// counts too.
     pub simulated: u64,
-    /// Measured-window L1 accesses across all cores and mixes, the
-    /// probe rates' denominator.
-    pub accesses: u64,
     /// Fabric snoop transactions.
     pub snoops: u64,
     /// Peer-tag probes the directory made (O(sharers) per snoop).
@@ -51,13 +50,13 @@ impl ScalingRow {
     /// Directory probes per simulated L1 access — the headline metric:
     /// stays flat as cores are added.
     pub fn probes_per_access(&self) -> f64 {
-        self.probes as f64 / self.accesses.max(1) as f64
+        self.probes as f64 / self.simulated.max(1) as f64
     }
 
     /// Broadcast probes per simulated L1 access: grows with the core
     /// count.
     pub fn broadcast_probes_per_access(&self) -> f64 {
-        self.broadcast_probes as f64 / self.accesses.max(1) as f64
+        self.broadcast_probes as f64 / self.simulated.max(1) as f64
     }
 }
 
@@ -75,7 +74,6 @@ pub fn scaling_sweep(core_counts: &[usize], scale: Scale) -> Vec<ScalingRow> {
             cores,
             run_s: 0.0,
             simulated: 0,
-            accesses: 0,
             snoops: 0,
             probes: 0,
             broadcast_probes: 0,
@@ -93,10 +91,9 @@ pub fn scaling_sweep(core_counts: &[usize], scale: Scale) -> Vec<ScalingRow> {
             build().run_batched(instrs, 0);
             let mut sys = build();
             let t0 = std::time::Instant::now();
-            let r = sys.run_batched(instrs, 0);
+            sys.run_batched(instrs, 0);
             row.run_s += t0.elapsed().as_secs_f64();
             row.simulated += sys.total_accesses();
-            row.accesses += r.cores.iter().map(|c| c.l1_accesses).sum::<u64>();
             let s = sys.fabric().stats();
             row.snoops += s.snoops;
             row.probes += s.probes;
@@ -112,7 +109,6 @@ pub fn scaling_table(rows: &[ScalingRow]) -> (Vec<String>, Vec<Vec<String>>) {
     let headers = [
         "cores",
         "run s",
-        "accesses",
         "simulated",
         "acc/s",
         "snoops",
@@ -129,7 +125,6 @@ pub fn scaling_table(rows: &[ScalingRow]) -> (Vec<String>, Vec<Vec<String>>) {
             vec![
                 r.cores.to_string(),
                 format!("{:.2}", r.run_s),
-                r.accesses.to_string(),
                 r.simulated.to_string(),
                 format!("{:.0}", r.per_sec()),
                 r.snoops.to_string(),
@@ -153,14 +148,13 @@ mod tests {
             cores: 4,
             run_s: 2.0,
             simulated: 1_000_000,
-            accesses: 500_000,
             snoops: 10,
             probes: 250_000,
             broadcast_probes: 750_000,
         };
         assert!((r.per_sec() - 500_000.0).abs() < 1e-6);
-        assert!((r.probes_per_access() - 0.5).abs() < 1e-12);
-        assert!((r.broadcast_probes_per_access() - 1.5).abs() < 1e-12);
+        assert!((r.probes_per_access() - 0.25).abs() < 1e-12);
+        assert!((r.broadcast_probes_per_access() - 0.75).abs() < 1e-12);
         let (headers, table) = scaling_table(&[r]);
         assert_eq!(headers.len(), table[0].len());
         assert_eq!(table[0][0], "4");

@@ -1,26 +1,18 @@
 //! First-minimum clock scheduling for the batched event loop.
 //!
 //! The scheduling spec picks the lowest clock before every access (ties
-//! to the lowest core index). The batched loop asks that question in two
-//! shapes, one per mode:
+//! to the lowest core index). The batched loop asks that question after
+//! every access: the core it just advanced keeps draining its trace chunk
+//! while it is still the pick, and yields as soon as another core is. A
+//! linear scan would cost O(cores) data-dependent compares per access;
+//! profiled on a 16-core mix it took about a third of the run.
+//! [`WinnerTree`] makes the pick a read of the root and the update after
+//! an access one leaf-to-root replay of ⌈log₂ cores⌉ compares.
 //!
-//! - **Drain mode** needs the pick plus the *horizon* (minimum clock of
-//!   the other cores) and its first owner, once per drain. The loop
-//!   mirrors the clocks into a compact contiguous array and calls
-//!   [`argmin_and_horizon`]: one fused pass that yields all three values
-//!   from a few cache lines, amortized over the drain's accesses.
-//! - **Step mode** runs when drains have degenerated to single accesses
-//!   (16+ cores) and needs only the pick, once per access. A linear scan
-//!   there costs O(cores) data-dependent compares per access; profiled on
-//!   a 16-core mix it took about a third of the run. [`WinnerTree`] makes
-//!   the pick a read of the root and the update after an access one
-//!   leaf-to-root replay of ⌈log₂ cores⌉ compares.
-//!
-//! Bit-identity matters more than speed here: both structures reproduce
-//! the first-minimum semantics of the spec's scan under
-//! [`f64::total_cmp`] — `min_by` keeps the *first* of tied elements, and
-//! the horizon owner is the first peer attaining the horizon. Property
-//! tests pin each against the verbatim linear scans.
+//! Bit-identity matters more than speed here: the tree reproduces the
+//! first-minimum semantics of the spec's scan under [`f64::total_cmp`] —
+//! `min_by` keeps the *first* of tied elements. Property tests pin it
+//! against the verbatim linear scan.
 
 /// Maps a clock to a `u64` whose unsigned order is [`f64::total_cmp`]'s
 /// order: negatives have every bit flipped, non-negatives only the sign
@@ -43,10 +35,10 @@ struct Slot {
 
 /// A winner tree over the core clocks: a binary tournament whose leaves
 /// are the cores (padded with never-winning leaves up to a power of two)
-/// and whose root is the first-minimum core. The batched loop's step mode
-/// reads the pick from the root and replays one leaf-to-root path after
-/// each access; it rebuilds the tree in place from its clock mirror when
-/// step mode starts, so nothing is allocated per drain.
+/// and whose root is the first-minimum core. The batched loop reads the
+/// pick from the root and replays one leaf-to-root path after each
+/// access; it builds the tree once per run and rebuilds it in place after
+/// a hook, so nothing is allocated per drain.
 ///
 /// Ties go to the left child. Every core in a left subtree has a lower
 /// index than every core in its right sibling, so the root is the lowest
@@ -63,15 +55,16 @@ pub(crate) struct WinnerTree {
 }
 
 impl WinnerTree {
-    /// Builds the tree over `clocks`.
+    /// Builds the tree over `clocks`, one per core.
     ///
     /// # Panics
     ///
     /// Panics if `clocks` is empty or has more than `u32::MAX` entries.
-    pub(crate) fn new(clocks: &[f64]) -> Self {
-        assert!(!clocks.is_empty(), "need at least one core");
-        assert!(u32::try_from(clocks.len()).is_ok(), "too many cores");
-        let leaves = clocks.len().next_power_of_two();
+    pub(crate) fn new(clocks: impl ExactSizeIterator<Item = f64>) -> Self {
+        let cores = clocks.len();
+        assert!(cores > 0, "need at least one core");
+        assert!(u32::try_from(cores).is_ok(), "too many cores");
+        let leaves = cores.next_power_of_two();
         let pad = Slot {
             key: u64::MAX,
             core: u32::MAX,
@@ -86,9 +79,9 @@ impl WinnerTree {
 
     /// Reloads every leaf from `clocks` (the same core count the tree was
     /// built for) and replays every match bottom-up, in place.
-    pub(crate) fn rebuild(&mut self, clocks: &[f64]) {
+    pub(crate) fn rebuild(&mut self, clocks: impl ExactSizeIterator<Item = f64>) {
         debug_assert!(clocks.len() <= self.leaves && 2 * clocks.len() > self.leaves);
-        for (j, &c) in clocks.iter().enumerate() {
+        for (j, c) in clocks.enumerate() {
             self.slots[self.leaves + j] = Slot {
                 key: clock_key(c),
                 core: j as u32,
@@ -138,41 +131,6 @@ impl WinnerTree {
     }
 }
 
-/// One fused pass over the clock array, returning `(argmin, horizon,
-/// horizon_owner)`:
-///
-/// - `argmin` — the core the scheduler picks (first index attaining the
-///   minimum clock);
-/// - `horizon` — the minimum clock over the *other* cores, i.e. the
-///   point the drained core's clock must not pass;
-/// - `horizon_owner` — the first core attaining the horizon, which
-///   settles clock ties: the drained core keeps the schedule on an exact
-///   tie only while its index is smaller.
-///
-/// With a single core the horizon is `+∞` and the owner `usize::MAX`,
-/// matching a linear scan over an empty peer set.
-#[inline]
-pub(crate) fn argmin_and_horizon(clocks: &[f64]) -> (usize, f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut bi = usize::MAX;
-    let mut second = f64::INFINITY;
-    let mut si = usize::MAX;
-    for (j, &c) in clocks.iter().enumerate() {
-        if c.total_cmp(&best) == std::cmp::Ordering::Less {
-            second = best;
-            si = bi;
-            best = c;
-            bi = j;
-        } else if c.total_cmp(&second) == std::cmp::Ordering::Less {
-            // Ties with `best` land here: the first occurrence keeps the
-            // schedule, the second becomes the horizon owner.
-            second = c;
-            si = j;
-        }
-    }
-    (bi, second, si)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,19 +145,6 @@ mod tests {
             }
         }
         i
-    }
-
-    /// The pre-fusion horizon scan, verbatim.
-    fn scan_excluding(clocks: &[f64], i: usize) -> (f64, usize) {
-        let mut horizon = f64::INFINITY;
-        let mut jfirst = usize::MAX;
-        for (j, &c) in clocks.iter().enumerate() {
-            if j != i && c.total_cmp(&horizon) == std::cmp::Ordering::Less {
-                horizon = c;
-                jfirst = j;
-            }
-        }
-        (horizon, jfirst)
     }
 
     /// A clock for the tree property test: mostly coarse steps that force
@@ -250,53 +195,30 @@ mod tests {
 
     #[test]
     fn one_core_tree_is_its_own_root() {
-        let mut tree = WinnerTree::new(&[3.0]);
+        let mut tree = WinnerTree::new([3.0].into_iter());
         assert_eq!(tree.winner(), 0);
         tree.update(0, f64::NAN);
         assert_eq!(tree.winner(), 0);
     }
 
     #[test]
-    fn single_core_has_infinite_horizon() {
-        let (i, h, j) = argmin_and_horizon(&[7.5]);
-        assert_eq!(i, 0);
-        assert_eq!(h, f64::INFINITY);
-        assert_eq!(j, usize::MAX);
-    }
-
-    #[test]
     fn ties_resolve_to_the_first_index() {
-        let (i, h, j) = argmin_and_horizon(&[3.0, 1.0, 1.0, 2.0]);
-        assert_eq!(i, 1);
-        assert_eq!((h, j), (1.0, 2));
+        let mut tree = WinnerTree::new([3.0, 1.0, 1.0, 2.0].into_iter());
+        assert_eq!(tree.winner(), 1);
+        tree.update(1, 2.0);
+        assert_eq!(tree.winner(), 2);
+        tree.update(2, 2.0);
+        assert_eq!(tree.winner(), 1);
     }
 
     proptest! {
-        /// The fused pass and the linear scans agree through a random
-        /// update sequence — including repeated clock values, the tie
-        /// case the first-minimum rule exists for.
-        #[test]
-        fn fused_pass_matches_linear_scans(
-            n in 1usize..67,
-            updates in prop::collection::vec((0usize..67, 0u32..12), 0..200),
-        ) {
-            let mut clocks: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
-            for (slot, quantized) in updates {
-                // Coarse values force plenty of exact ties.
-                clocks[slot % n] += quantized as f64 * 0.5;
-                let (bi, horizon, si) = argmin_and_horizon(&clocks);
-                prop_assert_eq!(bi, scan_argmin(&clocks));
-                prop_assert_eq!((horizon, si), scan_excluding(&clocks, bi));
-            }
-        }
-
         /// The winner tree picks what the spec's verbatim scan picks after
         /// every leaf update, at every width from the one-leaf tree to 64
         /// cores — non-powers of two included, whose padding leaves must
         /// never win. Coarse clock steps force exact ties across subtrees,
         /// and the IEEE corner cases check the `total_cmp` key transform.
         /// Every few updates the tree is also rebuilt in place from the
-        /// clocks, as the batched loop does when step mode starts.
+        /// clocks, as the batched loop does after a hook.
         #[test]
         fn winner_tree_matches_first_minimum_scan(
             n in 1usize..65,
@@ -304,7 +226,7 @@ mod tests {
             updates in prop::collection::vec((0usize..64, 0u8..16, 0u32..12, 0u64..1 << 52), 0..300),
         ) {
             let mut clocks: Vec<f64> = (0..n).map(|i| ((i as u32 + start) % 5) as f64).collect();
-            let mut tree = WinnerTree::new(&clocks);
+            let mut tree = WinnerTree::new(clocks.iter().copied());
             prop_assert_eq!(tree.winner(), scan_argmin(&clocks));
             for (k, (slot, kind, step, payload)) in updates.into_iter().enumerate() {
                 let i = slot % n;
@@ -312,7 +234,7 @@ mod tests {
                 tree.update(i, clocks[i]);
                 prop_assert_eq!(tree.winner(), scan_argmin(&clocks));
                 if k % 37 == 36 {
-                    tree.rebuild(&clocks);
+                    tree.rebuild(clocks.iter().copied());
                     prop_assert_eq!(tree.winner(), scan_argmin(&clocks));
                 }
             }

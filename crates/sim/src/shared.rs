@@ -121,10 +121,10 @@ impl SharedLlcSystem {
     }
 
     /// Runs warmup + measured instructions per core (same protocol as
-    /// [`crate::CmpSystem::run`]) on the horizon-batched interleave.
+    /// [`crate::CmpSystem::run`]) on the lowest-clock interleave.
     pub fn run(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
         assert!(instr_target > 0, "need a nonzero instruction target");
-        self.interleave_batched(instr_target, warmup_instrs);
+        self.interleave(instr_target, warmup_instrs);
         self.result()
     }
 
@@ -158,37 +158,17 @@ impl SharedLlcSystem {
         }
     }
 
-    /// Horizon-batched interleave: the scheduled core drains as long as
-    /// the lowest-clock scheduler (ties to the lowest index) would keep
-    /// picking it — its clock stays below the other cores' minimum, or
-    /// ties it with the smaller index. The argmin scan runs once per drain
-    /// instead of once per access, and the access order is still that of
-    /// one lowest-clock pick per access.
-    fn interleave_batched(&mut self, instr_target: u64, warmup_instrs: u64) {
-        'sched: loop {
-            let mut i = 0usize;
-            for j in 1..self.cores.len() {
-                if self.cores[j].clock.total_cmp(&self.cores[i].clock) == std::cmp::Ordering::Less {
-                    i = j;
-                }
-            }
-            let mut horizon = f64::INFINITY;
-            let mut jfirst = usize::MAX;
-            for (j, c) in self.cores.iter().enumerate() {
-                if j != i && c.clock.total_cmp(&horizon) == std::cmp::Ordering::Less {
-                    horizon = c.clock;
-                    jfirst = j;
-                }
-            }
-            let wins_tie = i < jfirst;
-            loop {
-                if !crate::system::holds_schedule(self.cores[i].clock, horizon, wins_tie) {
-                    continue 'sched;
-                }
-                self.step(i);
-                if self.bookkeeping(i, instr_target, warmup_instrs) {
-                    break 'sched;
-                }
+    /// The lowest-clock interleave: one first-minimum pick (ties to the
+    /// lowest index) per access, read off the same winner tree as
+    /// [`crate::CmpSystem`]'s loop and replayed after the access.
+    fn interleave(&mut self, instr_target: u64, warmup_instrs: u64) {
+        let mut tree = crate::sched::WinnerTree::new(self.cores.iter().map(|c| c.clock));
+        loop {
+            let i = tree.winner();
+            self.step(i);
+            tree.update(i, self.cores[i].clock);
+            if self.bookkeeping(i, instr_target, warmup_instrs) {
+                break;
             }
         }
     }
@@ -369,19 +349,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_interleave_matches_lowest_clock_order() {
-        // Four cores with integral clocks tie often, so the horizon's
-        // tie-break is exercised as well as its strict bound.
+    /// The tree-scheduled run against [`interleave_streaming`] at `cores`
+    /// cores: identical results, clocks to the bit, access counts and LLC
+    /// statistics. Every fourth core repeats one of four loops, so cores
+    /// with integral clocks tie often and the first-minimum tie-break is
+    /// exercised as well as the strict order.
+    fn assert_interleave_matches_streaming(cores: usize) {
         let build = || {
-            let mut w = vec![
-                workload(0, 24 << 10),
-                workload(1 << 30, 4 << 10),
-                workload(2 << 30, 40 << 10),
-                workload(3 << 30, 512),
-            ];
-            w[2].cpu.overlap = 0.5;
-            SharedLlcSystem::from_sources(cfg(4), w)
+            let regions = [24 << 10, 4 << 10, 40 << 10, 512];
+            let w: Vec<CoreWorkload> = (0..cores)
+                .map(|j| {
+                    let mut w = workload((j as u64) << 30, regions[j % 4]);
+                    if j % 4 == 2 {
+                        w.cpu.overlap = 0.5;
+                    }
+                    w
+                })
+                .collect();
+            // The aggregate LLC needs a power-of-two set count, so widths
+            // that are not powers of two get the next one's capacity.
+            let mut c = cfg(cores.next_power_of_two());
+            c.cores = cores;
+            SharedLlcSystem::from_sources(c, w)
         };
         let mut batched = build();
         let mut reference = build();
@@ -393,6 +382,15 @@ mod tests {
             assert_eq!(b.cnt.l1_accesses, s.cnt.l1_accesses);
         }
         assert_eq!(batched.llc.stats(), reference.llc.stats());
+    }
+
+    #[test]
+    fn batched_interleave_matches_lowest_clock_order() {
+        // Four cores fill one four-leaf tree; twelve pad it to sixteen
+        // leaves, which must never win.
+        for cores in [4, 12] {
+            assert_interleave_matches_streaming(cores);
+        }
     }
 
     #[test]

@@ -39,31 +39,12 @@ use cmp_trace::CoreSource;
 /// which restores as a [`SnapError::Mismatch`](cmp_snap::SnapError).
 const FABRIC_DIRECTORY: u8 = 1;
 
-/// Accesses the batched engine looks ahead in the chunk when prefetching
-/// the upcoming access's simulated L1 tag row.
-const PF_DIST: usize = 8;
-
-/// Accesses per adaptive-mode probe window: in drain mode the loop
-/// accumulates this many accesses, then compares the mean drain length
-/// against [`STEP_THRESHOLD`].
-const PROBE_WINDOW: u64 = 2048;
-
-/// Mean accesses per drain below which the per-drain machinery (horizon
-/// scan, state copy in/out, chunk slice setup) no longer amortizes and
-/// the loop switches to step mode.
-const STEP_THRESHOLD: u64 = 4;
-
-/// Accesses executed in step mode before the loop returns to drain mode
-/// to re-probe. Re-probing costs one [`PROBE_WINDOW`] of (at worst)
-/// drain-mode overhead per `STEP_RUN`, about 3% of the time at a ~30%
-/// overhead — cheap insurance against the workload coarsening again.
-const STEP_RUN: u64 = 1 << 16;
-
 /// Batch-local mirror of the [`CoreState`] fields the per-access header
-/// math touches: they live in registers for the length of a drain (and in
-/// the dense [`DrainCore`] array between drains) and are flushed back to
-/// the authoritative [`CoreState`] only where the outside world can look —
-/// before hooks (which may snapshot) and at the end of the run.
+/// math touches: the batched loop updates it in place in the dense
+/// [`DrainCore`] array and flushes it back to the authoritative
+/// [`CoreState`] only where the outside world can look — before hooks
+/// (which may snapshot) and at the end of the run; [`step`](CmpSystem::step)
+/// flushes after its one access.
 #[derive(Clone, Copy)]
 struct HotCore {
     clock: f64,
@@ -88,11 +69,11 @@ impl HotCore {
 }
 
 /// Per-core scheduler state of the batched event loop, persistent across
-/// drains. Drains shrink as the core count grows — the horizon is a min
-/// over the peers, so at 16+ cores a drain is often one access — and any
-/// work done per *drain* rather than per chunk shows up directly in
-/// throughput. Everything lives in one dense struct (two cache lines per
-/// core) instead of being re-derived from the scattered [`CoreState`]:
+/// drains. Most drains are a single access (on the scaling mixes the mean
+/// is 3.3 accesses at 2 cores, 1.1 at 4 and 1.0 at 16), so any work done
+/// per *drain* rather than per chunk shows up directly in throughput.
+/// Everything lives in one dense struct (two cache lines per core)
+/// instead of being re-derived from the scattered [`CoreState`]:
 /// the [`HotCore`] mirror stays loaded (cores are flushed only at hooks
 /// and at the end of the run), the CPU constants and warm-up/end
 /// trackers are plain fields, and the current chunk run is cached so
@@ -160,25 +141,12 @@ fn refresh_chunk(d: &mut DrainCore, feed: &mut cmp_trace::AccessFeed) {
 
 /// Why a batched drain stopped.
 enum Pause {
-    /// The cycle horizon was crossed: another core is now globally oldest.
+    /// Another core is now the first-minimum pick.
     Resched,
     /// `hook_every` accesses elapsed; the hook must run.
     Hook,
     /// Every core captured its end snapshot; the run is complete.
     Done,
-}
-
-/// Whether the drained core still holds the schedule: its clock is below
-/// the other cores' minimum, or ties it while having the smaller index —
-/// exactly the condition under which the lowest-clock scheduler (ties to
-/// the lowest core index) would pick it again.
-#[inline(always)]
-pub(crate) fn holds_schedule(clock: f64, horizon: f64, wins_tie: bool) -> bool {
-    match clock.total_cmp(&horizon) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Equal => wins_tie,
-        std::cmp::Ordering::Greater => false,
-    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -408,35 +376,22 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// core index (`cmp_oracle::OracleSystem::run_interleaved` is that
     /// spec, written out literally).
     ///
-    /// The scheduled core is that first-minimum pick. It keeps draining
-    /// while [`holds_schedule`] says the scheduler would keep picking
-    /// it — its clock stays below the *cycle horizon* (the minimum clock of
-    /// the other cores, which cannot move during the drain: spill
-    /// retirement only touches peers' writeback counters). Inside a drain
-    /// the per-access header math runs on a register-local [`HotCore`]
-    /// (one reciprocal hoists the `mem_fraction` divide), accesses come
-    /// straight out of the chunk's SoA arrays, and upcoming tag rows are
-    /// prefetched [`PF_DIST`] accesses ahead.
-    ///
-    /// Drains shrink as cores are added — the horizon is a min over the
-    /// peers — and at 16+ cores they degenerate to single accesses, where
-    /// the per-drain machinery is pure overhead. The loop is therefore
-    /// *adaptive*: every [`PROBE_WINDOW`] accesses it measures the mean
-    /// drain length, and below [`STEP_THRESHOLD`] it switches to *step
-    /// mode* for the next [`STEP_RUN`] accesses — single-access
-    /// first-minimum picks with no horizon computation and no drain
-    /// entry/exit. The pick is the root of a winner tree over the core
-    /// clocks (`sched::WinnerTree`), rebuilt from the clock mirror when
-    /// step mode starts and replayed along one leaf-to-root path after
-    /// each access: ⌈log₂ cores⌉ compares instead of a scan. Accesses are
-    /// still served from the cached chunk run, with the upcoming addresses
-    /// and stream ids prefetched ([`TraceChunk::prefetch`](cmp_trace::TraceChunk::prefetch)):
-    /// at 16 cores step mode walks three arrays per core, more sequential
-    /// streams than the hardware prefetcher tracks. Both modes execute
-    /// identical arithmetic in the identical first-minimum order, so the
-    /// interleaving (and every counter) is the same regardless of where
-    /// the mode switches land; the switch points
-    /// themselves are access-count driven and thus deterministic.
+    /// One scheduler makes the pick: a winner tree over the core clocks
+    /// (`sched::WinnerTree`), whose root is the first-minimum core. The
+    /// picked core drains its cached chunk run; after every access its
+    /// leaf is replayed (⌈log₂ cores⌉ compares) and the drain ends as soon
+    /// as the root names another core. That is the spec's pick before
+    /// every access, so drains size themselves: long where one core runs
+    /// ahead on L1 hits, a single access where many cores interleave
+    /// closely. Most drains are one access even at 2 cores, so a drain
+    /// costs no more than a pick: the per-access header math runs in place
+    /// on the core's dense [`HotCore`] (one reciprocal hoists the
+    /// `mem_fraction` divide), with nothing copied in or out per drain.
+    /// Accesses come straight out of the chunk's SoA arrays, and the
+    /// upcoming addresses and stream ids are prefetched
+    /// ([`TraceChunk::prefetch`](cmp_trace::TraceChunk::prefetch)): at 16
+    /// cores the loop walks three arrays per core, more sequential streams
+    /// than the hardware prefetcher tracks.
     ///
     /// `hook` runs with flushed, snapshot-able state after every
     /// `hook_every` global accesses (`0` = never; the final access of the
@@ -459,145 +414,54 @@ impl<P: ObsProbe> CmpSystem<P> {
             hook_every
         };
         let mut until_hook = hook_period;
-        // The per-drain machinery is the whole ballgame at high core
-        // counts (see [`DrainCore`]): per-core scheduler state persists
-        // across drains in dense structs, the drain scheduler is one fused
-        // pass over a compact clock mirror (see
-        // [`sched::argmin_and_horizon`](crate::sched) for the
-        // first-minimum tie-break contract), cores are flushed only at
-        // hooks and at the end of the run, and when a probe window shows
-        // drains have degenerated to single accesses the loop drops into
-        // step mode, scheduled by the winner tree (see the doc comment
-        // above). Hooks take `&mut Self` and may move anything, so every
-        // mirror is rebuilt after one fires.
-        let offset_bits = self.cfg.l1.offset_bits();
+        // Most drains are one access, so per-drain work is per-access
+        // work (see [`DrainCore`]): per-core scheduler state persists
+        // across drains in dense structs, the tree is allocated once per
+        // run, and cores are flushed only at hooks and at the end of the
+        // run. Hooks take `&mut Self` and may move anything, so the
+        // mirrors and the tree are rebuilt after one fires.
         let mut drain: Vec<DrainCore> = self.cores.iter().map(DrainCore::load).collect();
-        let mut clocks: Vec<f64> = drain.iter().map(|d| d.hot.clock).collect();
-        let mut tree = crate::sched::WinnerTree::new(&clocks);
-        // Adaptive-mode state: accesses and drains seen in the current
-        // probe window, and accesses left in the current step-mode run.
-        let mut probe_acc: u64 = 0;
-        let mut probe_drains: u64 = 0;
-        let mut step_left: u64 = 0;
-        'sched: loop {
-            // Step mode: drains have degenerated to ~single accesses, so
-            // skip the horizon and the drain entry/exit entirely — read
-            // the first-minimum core off the winner tree and execute
-            // exactly one access from its cached run, operating on the
-            // dense DrainCore in place. The tree is rebuilt from the
-            // clock mirror on entry; drain mode and hooks only update the
-            // mirror.
-            if step_left > 0 {
-                tree.rebuild(&clocks);
-            }
-            while step_left > 0 {
-                let i = tree.winner();
-                if drain[i].pos >= drain[i].len {
-                    refresh_chunk(&mut drain[i], &mut self.cores[i].source.feed);
-                }
-                let d = &mut drain[i];
-                let (addr, kind, stream) = if let Some(chunk) = &d.chunk {
-                    let idx = d.pos;
-                    d.pos = idx + 1;
-                    chunk.prefetch(idx);
-                    let kind = if chunk.store_words()[idx >> 6] >> (idx & 63) & 1 == 1 {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    (Addr::new(chunk.addrs()[idx]), kind, chunk.streams()[idx])
-                } else {
-                    let acc = self.cores[i].source.feed.next_access();
-                    (acc.addr, acc.kind, acc.stream)
-                };
-                self.batched_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
-                clocks[i] = d.hot.clock;
-                tree.update(i, d.hot.clock);
-                step_left -= 1;
-                let pause = self.batched_bookkeeping(
-                    i,
-                    &d.hot,
-                    instr_target,
-                    warmup_instrs,
-                    &mut d.warm_base,
-                    &mut d.ended,
-                    &mut until_hook,
-                );
-                match pause {
-                    None => {}
-                    Some(Pause::Resched) => unreachable!("step mode holds no horizon to lose"),
-                    Some(Pause::Done) => {
-                        self.commit_feeds(&mut drain);
-                        break 'sched;
-                    }
-                    Some(Pause::Hook) => {
-                        self.commit_feeds(&mut drain);
-                        until_hook = hook_period;
-                        if !hook(self) {
-                            return None;
-                        }
-                        for (j, c) in self.cores.iter().enumerate() {
-                            drain[j] = DrainCore::load(c);
-                            clocks[j] = c.clock;
-                        }
-                        // The hook may have moved anything — re-probe.
-                        step_left = 0;
-                        probe_acc = 0;
-                        probe_drains = 0;
-                    }
-                }
-            }
-            let (i, horizon, jfirst) = crate::sched::argmin_and_horizon(&clocks);
-            let wins_tie = i < jfirst;
-            let cpu = drain[i].cpu;
-            let inv_mf = drain[i].inv_mf;
-            let mut h = drain[i].hot;
-            let mut warm_base = drain[i].warm_base;
-            let mut ended = drain[i].ended;
-            let acc_base = h.l1_accesses;
+        let mut tree = crate::sched::WinnerTree::new(self.cores.iter().map(|c| c.clock));
+        loop {
+            let i = tree.winner();
+            let d = &mut drain[i];
             let pause = 'drain: loop {
-                if drain[i].pos >= drain[i].len {
-                    refresh_chunk(&mut drain[i], &mut self.cores[i].source.feed);
+                if d.pos >= d.len {
+                    refresh_chunk(d, &mut self.cores[i].source.feed);
                 }
-                let Some(chunk) = &drain[i].chunk else {
+                let Some(chunk) = &d.chunk else {
                     // Streaming generator (or budget-degraded cursor):
-                    // per-access pulls, still horizon-batched.
+                    // per-access pulls, still drained while `i` is the pick.
                     loop {
-                        if !holds_schedule(h.clock, horizon, wins_tie) {
-                            break 'drain Pause::Resched;
-                        }
                         let acc = self.cores[i].source.feed.next_access();
                         self.batched_access(
-                            i, &mut h, inv_mf, &cpu, acc.addr, acc.kind, acc.stream,
+                            i, &mut d.hot, d.inv_mf, &d.cpu, acc.addr, acc.kind, acc.stream,
                         );
+                        tree.update(i, d.hot.clock);
                         if let Some(p) = self.batched_bookkeeping(
                             i,
-                            &h,
+                            &d.hot,
                             instr_target,
                             warmup_instrs,
-                            &mut warm_base,
-                            &mut ended,
+                            &mut d.warm_base,
+                            &mut d.ended,
                             &mut until_hook,
                         ) {
                             break 'drain p;
                         }
+                        if tree.winner() != i {
+                            break 'drain Pause::Resched;
+                        }
                     }
                 };
-                let len = drain[i].len;
                 let addrs = chunk.addrs();
                 let streams = chunk.streams();
                 let stores = chunk.store_words();
-                let mut idx = drain[i].pos;
                 let mut pause = None;
-                while idx < len {
-                    if !holds_schedule(h.clock, horizon, wins_tie) {
-                        pause = Some(Pause::Resched);
-                        break;
-                    }
-                    if idx + PF_DIST < len {
-                        let ahead = Addr::new(addrs[idx + PF_DIST]).line(offset_bits);
-                        self.l1s[i].prefetch_set(self.cfg.l1.set_of(ahead));
-                    }
+                while d.pos < d.len {
+                    let idx = d.pos;
+                    d.pos = idx + 1;
+                    chunk.prefetch(idx);
                     let addr = Addr::new(addrs[idx]);
                     let stream = streams[idx];
                     let kind = if stores[idx >> 6] >> (idx & 63) & 1 == 1 {
@@ -605,48 +469,34 @@ impl<P: ObsProbe> CmpSystem<P> {
                     } else {
                         AccessKind::Load
                     };
-                    idx += 1;
-                    self.batched_access(i, &mut h, inv_mf, &cpu, addr, kind, stream);
-                    if let Some(p) = self.batched_bookkeeping(
+                    self.batched_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
+                    tree.update(i, d.hot.clock);
+                    pause = self.batched_bookkeeping(
                         i,
-                        &h,
+                        &d.hot,
                         instr_target,
                         warmup_instrs,
-                        &mut warm_base,
-                        &mut ended,
+                        &mut d.warm_base,
+                        &mut d.ended,
                         &mut until_hook,
-                    ) {
-                        pause = Some(p);
+                    );
+                    if pause.is_none() && tree.winner() != i {
+                        pause = Some(Pause::Resched);
+                    }
+                    if pause.is_some() {
                         break;
                     }
                 }
-                drain[i].pos = idx;
                 match pause {
                     Some(p) => break 'drain p,
                     None => continue 'drain, // chunk exhausted mid-drain
                 }
             };
-            let d = &mut drain[i];
-            d.hot = h;
-            d.warm_base = warm_base;
-            d.ended = ended;
-            clocks[i] = h.clock;
-            // Probe accounting: a window's mean drain length decides
-            // whether the next STEP_RUN accesses run in step mode.
-            probe_acc += h.l1_accesses - acc_base;
-            probe_drains += 1;
-            if probe_acc >= PROBE_WINDOW {
-                if probe_acc < probe_drains * STEP_THRESHOLD {
-                    step_left = STEP_RUN;
-                }
-                probe_acc = 0;
-                probe_drains = 0;
-            }
             match pause {
                 Pause::Resched => {}
                 Pause::Done => {
                     self.commit_feeds(&mut drain);
-                    break 'sched;
+                    break;
                 }
                 Pause::Hook => {
                     self.commit_feeds(&mut drain);
@@ -656,15 +506,12 @@ impl<P: ObsProbe> CmpSystem<P> {
                     }
                     // The hook holds `&mut Self` and may have moved
                     // anything (e.g. restoring a snapshot): reload the
-                    // mirrors and drop every cache rather than trust the
+                    // mirrors and the tree rather than trust the
                     // incremental state.
-                    for (j, c) in self.cores.iter().enumerate() {
-                        drain[j] = DrainCore::load(c);
-                        clocks[j] = c.clock;
+                    for (d, c) in drain.iter_mut().zip(&self.cores) {
+                        *d = DrainCore::load(c);
                     }
-                    step_left = 0;
-                    probe_acc = 0;
-                    probe_drains = 0;
+                    tree.rebuild(self.cores.iter().map(|c| c.clock));
                 }
             }
         }
@@ -686,7 +533,7 @@ impl<P: ObsProbe> CmpSystem<P> {
         }
     }
 
-    /// Writes a drain's register-local [`HotCore`] back into the core's
+    /// Writes a core's [`HotCore`] mirror back into the core's
     /// authoritative state.
     fn flush_hot(&mut self, i: usize, h: &HotCore) {
         let c = &mut self.cores[i];
@@ -698,12 +545,12 @@ impl<P: ObsProbe> CmpSystem<P> {
         c.counters.l1_hits = h.l1_hits;
     }
 
-    /// One access of the batched loop: identical arithmetic to
-    /// [`step`](CmpSystem::step), but the header math (carry/CPI/clock and
-    /// the L1 counters) runs on the drain's [`HotCore`] and the
-    /// `mem_fraction` divide is a pre-inverted multiply.
+    /// One access of core `i`, the per-access body of both the batched
+    /// loop and [`step`](CmpSystem::step): the header math (carry/CPI/clock
+    /// and the L1 counters) runs on the caller's [`HotCore`] and the
+    /// `mem_fraction` divide is a pre-inverted multiply (`inv_mf`).
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // private hot path; the args are the drain's registers
+    #[allow(clippy::too_many_arguments)] // private hot path; the args are the drained core's state
     fn batched_access(
         &mut self,
         i: usize,
@@ -727,12 +574,17 @@ impl<P: ObsProbe> CmpSystem<P> {
         let latency = if l1_hit {
             h.l1_hits += 1;
             if kind.is_store() {
+                // Write-through below L1 with a coalescing write buffer:
+                // the L2 copy's state is updated (dirtiness, coherence
+                // upgrade) but the buffered write does not occupy the L2 —
+                // no recency promotion, no statistics, no policy event.
                 self.upgrade_for_store(i, line);
             }
             0
         } else {
             let (lat, fill_l1) = self.l2_access(i, line, kind, stream);
             if fill_l1 {
+                // Fill L1 (evictions are silent: write-through keeps L1 clean).
                 let set = self.cfg.l1.set_of(line);
                 let way = self.l1s[i].set(set).default_victim();
                 self.l1s[i].fill(
@@ -890,67 +742,17 @@ impl<P: ObsProbe> CmpSystem<P> {
     }
 
     /// Advances core `i` by one memory access (public for fine-grained
-    /// tests).
+    /// tests), through the batched loop's own per-access body.
     pub fn step(&mut self, i: usize) {
         let acc = self.cores[i].source.feed.next_access();
         let cpu = self.cores[i].source.cpu;
-        {
-            let c = &mut self.cores[i];
-            c.carry += 1.0 / cpu.mem_fraction;
-            let n = (c.carry as u64).max(1);
-            c.carry -= n as f64;
-            c.counters.instrs += n;
-            c.cycles_add(n as f64 * cpu.base_cpi);
-            c.counters.l1_accesses += 1;
-        }
-        let line = acc.addr.line(self.cfg.l1.offset_bits());
-        let l1_hit = self.l1s[i].access(line).is_some();
-        let latency = if l1_hit {
-            self.cores[i].counters.l1_hits += 1;
-            if acc.kind.is_store() {
-                // Write-through below L1 with a coalescing write buffer:
-                // the L2 copy's state is updated (dirtiness, coherence
-                // upgrade) but the buffered write does not occupy the L2 —
-                // no recency promotion, no statistics, no policy event.
-                self.upgrade_for_store(i, line);
-            }
-            0
-        } else {
-            let (lat, fill_l1) = self.l2_access(i, line, acc.kind, acc.stream);
-            if fill_l1 {
-                // Fill L1 (evictions are silent: write-through keeps L1 clean).
-                let set = self.cfg.l1.set_of(line);
-                let way = self.l1s[i].set(set).default_victim();
-                self.l1s[i].fill(
-                    set,
-                    way,
-                    CacheLine::demand(line, MesiState::Exclusive),
-                    InsertPos::Mru,
-                    FillKind::Demand,
-                );
-            }
-            lat
-        };
-        let c = &mut self.cores[i];
-        if !acc.kind.is_store() && latency > 0 {
-            c.cycles_add(latency as f64 * cpu.overlap);
-        }
-        let clock = c.clock as u64;
-        self.policy.on_cycle(CoreId(i as u8), clock);
-        if P::ACTIVE {
-            self.forward_policy_events();
-            if self.epoch_accesses > 0 && self.epoch_counter >= self.epoch_accesses {
-                self.epoch_counter -= self.epoch_accesses;
-                let snap = self.policy.snapshot();
-                self.probe.on_epoch(self.epoch_index, &snap);
-                self.epoch_index += 1;
-            }
-        }
-        #[cfg(feature = "debug-invariants")]
-        self.debug_check_invariants();
+        let mut h = HotCore::load(&self.cores[i]);
+        let inv_mf = 1.0 / cpu.mem_fraction;
+        self.batched_access(i, &mut h, inv_mf, &cpu, acc.addr, acc.kind, acc.stream);
+        self.flush_hot(i, &h);
     }
 
-    /// Full structural-invariant sweep, run after every step under the
+    /// Full structural-invariant sweep, run after every access under the
     /// `debug-invariants` feature.
     ///
     /// # Panics
@@ -1654,13 +1456,6 @@ impl<P: ObsProbe> CmpSystem<P> {
             }
         }
         self.pf_buf = buf;
-    }
-}
-
-impl CoreState {
-    fn cycles_add(&mut self, dc: f64) {
-        self.clock += dc;
-        self.counters.cycles += dc;
     }
 }
 

@@ -141,11 +141,11 @@ impl TraceChunk {
     /// Hints the hardware prefetcher at the trace data a reader now at
     /// access `i` will need soon: the address 16 accesses ahead and the
     /// stream id 64 ahead, two cache lines of each (the store bits cross
-    /// a cache line only every 512 accesses). The batched engine's
-    /// step mode reads one access per core in turn, so at 16 cores it
-    /// walks 48 sequential streams at once, more than the hardware
-    /// prefetcher tracks. Pure performance hint: positions past the end
-    /// are ignored.
+    /// a cache line only every 512 accesses). At 16+ cores the batched
+    /// engine's drains are often a single access, so it reads one access
+    /// per core in turn and walks 48 sequential streams at once, more
+    /// than the hardware prefetcher tracks. Pure performance hint:
+    /// positions past the end are ignored.
     #[inline]
     pub fn prefetch(&self, i: usize) {
         if let Some(a) = self.addrs.get(i + PF_ADDRS_AHEAD) {

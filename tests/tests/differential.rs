@@ -184,9 +184,9 @@ proptest! {
     /// The batched event loop schedules exactly as the spec does: stopped
     /// after `n` global accesses of the case's per-core scripts, it is in
     /// the same state as the oracle after `n` lowest-clock-first picks
-    /// (ties to the lowest core index). Both the drain mode's horizon test
-    /// and the step mode's argmin are on this path; the lockstep cases
-    /// above drive `step()` directly and never reach either.
+    /// (ties to the lowest core index). The winner tree that picks each
+    /// drain's core and ends it is on this path; the lockstep cases above
+    /// call `step()` for a given core and never consult it.
     #[test]
     fn batched_scheduler_matches_oracle_interleave(
         sh in shape(),
@@ -269,9 +269,10 @@ proptest! {
 
 /// One long fixed 4-core run through the same check. Core 0 alternates a
 /// phase of L1 hits (long drains while its peers stall on misses) with a
-/// phase of misses (single-access drains), so the run crosses many
-/// 2048-access probe windows and the loop switches between drain and step
-/// mode, and back, before the comparison.
+/// phase of misses (single-access drains), so drains of every length end
+/// on the winner tree before the comparison. The continuing-hooks check
+/// then rebuilds the tree on a run with long drains, not only
+/// single-access ones.
 #[test]
 fn batched_scheduler_matches_oracle_interleave_across_probe_windows() {
     let mut ops = Vec::new();
@@ -299,15 +300,14 @@ fn batched_scheduler_matches_oracle_interleave_across_probe_windows() {
         ops,
     );
     diff::assert_case_interleaved(&case, 90_000);
+    assert_continuing_hooks_move_nothing(&case, 90_000);
 }
 
-/// One fixed 12-core run through the same check, for the step scheduler's
-/// winner tree at a width the proptests never draw: twelve leaves padded
-/// to sixteen, four levels deep. Every core misses its two-set L1 almost
-/// always, so drains are single accesses, the first probe window switches
-/// the loop to step mode, and the stopping hook fires mid-step-run. A
-/// second run stops at the same access after three continuing hooks, so
-/// the tree is also rebuilt from the clock mirror inside step mode.
+/// One fixed 12-core run through the same check, for the winner tree at a
+/// width the proptests never draw: twelve leaves padded to sixteen, four
+/// levels deep. Every core misses its two-set L1 almost always, so drains
+/// are mostly single accesses and the stopping hook fires between two of
+/// them. The continuing-hooks check then rebuilds the tree mid-run.
 #[test]
 fn batched_scheduler_matches_oracle_interleave_at_twelve_cores() {
     const N: u64 = 24_000;
@@ -330,13 +330,22 @@ fn batched_scheduler_matches_oracle_interleave_at_twelve_cores() {
         ops,
     );
     diff::assert_case_interleaved(&case, N);
+    assert_continuing_hooks_move_nothing(&case, N);
+}
 
-    let mut straight = diff::build_real(&case);
-    let stopped = straight.try_run_batched(u64::MAX, 0, N, |_| false);
+/// Stops one run of `case` after `n` global accesses and another at the
+/// same access after three continuing hooks (one every `n / 4`): the two
+/// end-state snapshots must match. A hook may move anything, so the
+/// batched loop reloads its per-core mirrors and rebuilds the winner tree
+/// after each one; this checks that doing so changes nothing.
+fn assert_continuing_hooks_move_nothing(case: &DiffCase, n: u64) {
+    assert_eq!(n % 4, 0, "three continuing hooks must land at n");
+    let mut straight = diff::build_real(case);
+    let stopped = straight.try_run_batched(u64::MAX, 0, n, |_| false);
     assert!(stopped.is_none(), "the hook stops the straight run");
-    let mut hooked = diff::build_real(&case);
+    let mut hooked = diff::build_real(case);
     let mut fired = 0;
-    let stopped = hooked.try_run_batched(u64::MAX, 0, N / 4, |_| {
+    let stopped = hooked.try_run_batched(u64::MAX, 0, n / 4, |_| {
         fired += 1;
         fired < 4
     });
@@ -344,7 +353,8 @@ fn batched_scheduler_matches_oracle_interleave_at_twelve_cores() {
     assert_eq!(
         hooked.snapshot(),
         straight.snapshot(),
-        "continuing hooks moved the 12-core interleave"
+        "continuing hooks moved the {}-core interleave",
+        case.cores
     );
 }
 
