@@ -20,7 +20,7 @@ fn bench_simulator(c: &mut Criterion) {
                 let mix = &two_app_mixes()[0];
                 let mut sys =
                     CmpSystem::from_sources(cfg.clone(), policy.build(&cfg), mix_sources(mix, 7));
-                sys.run(INSTRS, 20_000)
+                sys.run_batched(INSTRS, 20_000)
             })
         });
     }

@@ -55,7 +55,7 @@ fn main() {
                 p.build(&cfg),
                 mix_sources(&mixes[0], scale.seed),
             );
-            let r = sys.run(scale.instrs, scale.warmup);
+            let r = sys.run_batched(scale.instrs, scale.warmup);
             (p.label(), sys.policy().snapshot(), r)
         });
         println!(

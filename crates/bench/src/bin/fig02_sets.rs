@@ -17,7 +17,7 @@ fn per_set_misses(bench: SpecBench, ways: u16, scale: Scale) -> Vec<u64> {
     let w = bench.workload(0, scale.seed);
     let mut sys =
         CmpSystem::from_sources(cfg, Box::new(cmp_cache::PrivateBaseline::new()), vec![w]);
-    sys.run(scale.instrs, scale.warmup);
+    sys.run_batched(scale.instrs, scale.warmup);
     sys.l2(CoreId(0))
         .set_stats()
         .expect("enabled")

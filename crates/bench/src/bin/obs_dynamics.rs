@@ -43,7 +43,7 @@ fn record(mix: &WorkloadMix, policy: Policy, scale: Scale, epoch: u64) -> Record
         &mut recorder,
         epoch,
     );
-    sys.run(scale.instrs, scale.warmup);
+    sys.run_batched(scale.instrs, scale.warmup);
     drop(sys);
     recorder.finish();
     Recording {

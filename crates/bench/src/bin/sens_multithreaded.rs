@@ -23,7 +23,7 @@ fn main() {
         let policy = p.unwrap_or(Policy::Baseline).build(&cfg);
         let workloads = b.workloads(threads, scale.seed);
         let mut sys = CmpSystem::from_sources(cfg.clone(), policy, workloads);
-        sys.run(scale.instrs, scale.warmup)
+        sys.run_batched(scale.instrs, scale.warmup)
     });
 
     let per = policies.len() + 1;

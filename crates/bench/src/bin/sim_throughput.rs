@@ -20,9 +20,9 @@
 //! worker count (default: available parallelism); the one-worker rows are
 //! always measured with an explicit single-worker pool. `--cores` (or
 //! `ASCC_CORES`) sets the simulated core count of the main sweep
-//! (default 2). `ASCC_TRACE_CACHE=0` disables the arena, so every row
-//! regenerates its accesses live (the JSON records `trace_cache` so the
-//! two configurations stay distinguishable in archived results). See
+//! (default 2). `ASCC_TRACE_ARENA_MB=0` gives the arena no budget, so
+//! every core regenerates its accesses into a private chunk: the rows
+//! then measure live generation through the same one chunk feed. See
 //! `--help` for the full flag ↔ env mapping.
 //!
 //! A coherence-scaling section follows the main sweep: ASCC at
@@ -37,7 +37,7 @@ use ascc_bench::scaling::{scaling_sweep, scaling_table};
 use ascc_bench::{print_table, Policy, Scale};
 use cmp_json::Value;
 use cmp_sim::{mix_sources, mix_workloads, CmpSystem, RunResult, SweepPool, SystemConfig};
-use cmp_trace::{mixes_for, trace_cache_enabled, AccessStream, WorkloadMix};
+use cmp_trace::{mixes_for, AccessStream, WorkloadMix};
 
 const POLICIES: [Policy; 4] = [
     Policy::Baseline,
@@ -164,14 +164,13 @@ fn main() {
     let mixes = mixes_for(cores);
     let many = SweepPool::from_env();
     println!(
-        "sim_throughput: {} cores, {} mixes x {} policies, {} + {} worker(s), {} instrs/core (trace cache {})",
+        "sim_throughput: {} cores, {} mixes x {} policies, {} + {} worker(s), {} instrs/core",
         cores,
         MIXES.min(mixes.len()),
         POLICIES.len(),
         1,
         many.jobs(),
         scale.instrs,
-        if trace_cache_enabled() { "on" } else { "off" },
     );
 
     let gen_accesses = (scale.instrs / 2).clamp(200_000, 8_000_000);
@@ -253,7 +252,6 @@ fn main() {
         .insert("bench", "sim_throughput")
         .insert("host", host())
         .insert("cores", cores as f64)
-        .insert("trace_cache", trace_cache_enabled())
         .insert(
             "scale",
             Value::object()

@@ -1,8 +1,8 @@
 //! The typed run configuration behind every harness knob.
 //!
 //! Historically each binary read its own slice of the `ASCC_*` environment
-//! sprawl (`ASCC_JOBS` in the sweep pool, `ASCC_TRACE_CACHE` /
-//! `ASCC_TRACE_ARENA_MB` in the trace arena, `ASCC_CKPT_*` + `ASCC_RESUME`
+//! sprawl (`ASCC_JOBS` in the sweep pool, `ASCC_TRACE_ARENA_MB` in the
+//! trace arena, `ASCC_CKPT_*` + `ASCC_RESUME`
 //! in the checkpoint layer, `ASCC_BENCH_OUT` in `sim_throughput`). This
 //! module is now the one place that sprawl is parsed: [`RunConfig::from_env`]
 //! reads every knob, the builder setters override them in code, and
@@ -54,15 +54,9 @@ pub const FIELDS: &[Field] = &[
     },
     Field {
         flag: "",
-        env: "ASCC_TRACE_CACHE",
-        json: "trace_cache",
-        help: "materialized trace arena on/off (default on; 0/false = stream every access)",
-    },
-    Field {
-        flag: "",
         env: "ASCC_TRACE_ARENA_MB",
         json: "arena_mb",
-        help: "trace arena byte budget in MiB (default 4096)",
+        help: "trace arena byte budget in MiB (default 4096; 0 = share nothing, every core reads a private chunk)",
     },
     Field {
         flag: "",
@@ -103,8 +97,6 @@ pub struct RunConfig {
     pub jobs: Option<usize>,
     /// Simulated core count; `None` keeps each binary's own default.
     pub cores: Option<usize>,
-    /// Whether the materialized trace arena is enabled.
-    pub trace_cache: bool,
     /// Trace arena budget in MiB.
     pub arena_mb: u64,
     /// Checkpoint cadence in simulated accesses; 0 disables.
@@ -122,7 +114,6 @@ impl Default for RunConfig {
         RunConfig {
             jobs: None,
             cores: None,
-            trace_cache: true,
             arena_mb: 4096,
             ckpt_every: 0,
             ckpt_dir: PathBuf::from("results/ckpt"),
@@ -146,7 +137,6 @@ impl RunConfig {
             cores: var("ASCC_CORES")
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| (1..=64).contains(&n)),
-            trace_cache: var("ASCC_TRACE_CACHE").map_or(d.trace_cache, |v| v != "0"),
             arena_mb: var("ASCC_TRACE_ARENA_MB")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(d.arena_mb),
@@ -168,12 +158,6 @@ impl RunConfig {
     /// Sets the simulated core count (`None` = each binary's default).
     pub fn with_cores(mut self, cores: Option<usize>) -> Self {
         self.cores = cores.filter(|&n| n > 0);
-        self
-    }
-
-    /// Enables or disables the materialized trace arena.
-    pub fn with_trace_cache(mut self, on: bool) -> Self {
-        self.trace_cache = on;
         self
     }
 
@@ -217,10 +201,6 @@ impl RunConfig {
                 "ASCC_CORES",
                 self.cores.map_or_else(String::new, |n| n.to_string()),
             ),
-            (
-                "ASCC_TRACE_CACHE",
-                if self.trace_cache { "1" } else { "0" }.into(),
-            ),
             ("ASCC_TRACE_ARENA_MB", self.arena_mb.to_string()),
             ("ASCC_CKPT_EVERY", self.ckpt_every.to_string()),
             ("ASCC_CKPT_DIR", self.ckpt_dir.display().to_string()),
@@ -255,7 +235,6 @@ impl RunConfig {
         let mut doc = Value::object()
             .insert("jobs", self.jobs.map_or(0.0, |n| n as f64))
             .insert("cores", self.cores.map_or(0.0, |n| n as f64))
-            .insert("trace_cache", self.trace_cache)
             .insert("arena_mb", self.arena_mb as f64)
             .insert("ckpt_every", self.ckpt_every as f64)
             .insert("ckpt_dir", self.ckpt_dir.display().to_string())
@@ -291,11 +270,6 @@ impl RunConfig {
                         return Err(format!("cores must be 0 (default) or 1..=64, got {n}"));
                     }
                     next.cores = if n == 0 { None } else { Some(n as usize) };
-                }
-                "trace_cache" => {
-                    next.trace_cache = val
-                        .as_bool()
-                        .ok_or_else(|| format!("trace_cache wants a boolean, got {val}"))?;
                 }
                 "arena_mb" => {
                     next.arena_mb = val.as_u64().ok_or_else(|| {
@@ -371,7 +345,7 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.jobs, Some(3));
         assert_eq!(cfg.ckpt_every, 500);
-        assert!(cfg.trace_cache);
+        assert_eq!(cfg.arena_mb, 4096);
     }
 
     #[test]
@@ -395,7 +369,7 @@ mod tests {
         let cfg = RunConfig::default()
             .with_jobs(Some(2))
             .with_cores(Some(16))
-            .with_trace_cache(false)
+            .with_arena_mb(0)
             .with_checkpoints(1000, "ckpt")
             .with_resume(true)
             .with_out(Some(PathBuf::from("out.json")));
@@ -408,7 +382,7 @@ mod tests {
         };
         assert_eq!(get("ASCC_JOBS"), "2");
         assert_eq!(get("ASCC_CORES"), "16");
-        assert_eq!(get("ASCC_TRACE_CACHE"), "0");
+        assert_eq!(get("ASCC_TRACE_ARENA_MB"), "0");
         assert_eq!(get("ASCC_CKPT_EVERY"), "1000");
         assert_eq!(get("ASCC_CKPT_DIR"), "ckpt");
         assert_eq!(get("ASCC_RESUME"), "1");

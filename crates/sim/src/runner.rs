@@ -36,9 +36,9 @@ pub fn mix_workloads(mix: &WorkloadMix, seed: u64) -> Vec<CoreWorkload> {
 
 /// Builds the per-core [`CoreSource`]s of a mix — same placement and seed
 /// derivation as [`mix_workloads`], but each core's accesses replay from
-/// the process-wide [`TraceArena`](cmp_trace::TraceArena) when trace
-/// caching is enabled, so every run over the same `(mix, seed)` shares one
-/// materialization.
+/// the process-wide [`TraceArena`](cmp_trace::TraceArena), so every run
+/// over the same `(mix, seed)` shares one materialization (within the
+/// arena's budget; past it, each core reads a private chunk).
 pub fn mix_sources(mix: &WorkloadMix, seed: u64) -> Vec<CoreSource> {
     mix.benches
         .iter()
@@ -181,7 +181,7 @@ pub fn run_sources_with(
 ) -> RunResult {
     let mut sys = CmpSystem::from_sources(cfg.clone(), policy, sources);
     let Some(ck) = ckpt.filter(|c| c.cadence.is_enabled()) else {
-        return sys.run(instr_target, warmup);
+        return sys.run_batched(instr_target, warmup);
     };
     let path = ck.path_for(&sys, cfg, desc, instr_target, warmup);
     // A missing checkpoint file just means there is nothing to resume yet.
@@ -370,7 +370,7 @@ impl SoloRun {
         let src = self.bench.source(0, self.seed);
         let mut sys =
             CmpSystem::from_sources(cfg.clone(), Box::new(PrivateBaseline::new()), vec![src]);
-        let mut r = sys.run(self.instr_target, self.warmup);
+        let mut r = sys.run_batched(self.instr_target, self.warmup);
         r.cores.remove(0)
     }
 

@@ -121,7 +121,7 @@ impl SharedLlcSystem {
     }
 
     /// Runs warmup + measured instructions per core (same protocol as
-    /// [`crate::CmpSystem::run`]) on the lowest-clock interleave.
+    /// [`crate::CmpSystem::run_batched`]) on the lowest-clock interleave.
     pub fn run(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
         assert!(instr_target > 0, "need a nonzero instruction target");
         self.interleave(instr_target, warmup_instrs);

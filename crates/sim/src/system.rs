@@ -32,7 +32,8 @@ use cmp_cache::{
     StridePrefetcher,
 };
 use cmp_coherence::{DirectoryFabric, ReadPolicy};
-use cmp_trace::CoreSource;
+use cmp_trace::{AccessFeed, CoreSource, TraceChunk};
+use std::sync::Arc;
 
 /// The snapshot fingerprint's coherence-fabric byte. The directory is the
 /// only fabric; `0` marks a snapshot taken on the retired broadcast bus,
@@ -77,7 +78,7 @@ impl HotCore {
 /// the [`HotCore`] mirror stays loaded (cores are flushed only at hooks
 /// and at the end of the run), the CPU constants and warm-up/end
 /// trackers are plain fields, and the current chunk run is cached so
-/// [`run_slice`](cmp_trace::AccessFeed::run_slice)'s `Arc` clone and the
+/// [`run_slice`](cmp_trace::TraceCursor::run_slice)'s `Arc` clone and the
 /// feed-cursor commit happen once per chunk, not once per drain.
 struct DrainCore {
     hot: HotCore,
@@ -85,9 +86,8 @@ struct DrainCore {
     inv_mf: f64,
     warm_base: Option<u64>,
     ended: bool,
-    /// The cached chunk run, `None` for streaming generators (and
-    /// budget-degraded cursors, which only serve per-access pulls).
-    chunk: Option<std::sync::Arc<cmp_trace::TraceChunk>>,
+    /// The cached chunk run (empty until the first refresh).
+    chunk: Arc<TraceChunk>,
     /// Cached `chunk.len()`.
     len: usize,
     /// Next unconsumed access within `chunk`.
@@ -107,7 +107,7 @@ impl DrainCore {
             inv_mf: 1.0 / c.source.cpu.mem_fraction,
             warm_base: c.warm_snap.map(|w| w.instrs),
             ended: c.end_snap.is_some(),
-            chunk: None,
+            chunk: TraceChunk::empty(),
             len: 0,
             pos: 0,
             committed: 0,
@@ -116,27 +116,16 @@ impl DrainCore {
 }
 
 /// Refills a core's cached chunk run: syncs the feed cursor past the
-/// consumed prefix of the old run, then caches the next one. Leaves
-/// `chunk` as `None` for streaming generators and budget-degraded
-/// cursors, which only serve per-access pulls.
-fn refresh_chunk(d: &mut DrainCore, feed: &mut cmp_trace::AccessFeed) {
-    if d.chunk.is_some() {
-        feed.advance(d.pos - d.committed);
-    }
-    match feed.run_slice() {
-        Some((chunk, pos)) => {
-            d.len = chunk.len();
-            d.chunk = Some(chunk);
-            d.pos = pos;
-            d.committed = pos;
-        }
-        None => {
-            d.chunk = None;
-            d.len = 0;
-            d.pos = 0;
-            d.committed = 0;
-        }
-    }
+/// consumed prefix of the old run, then caches the next one. The old run
+/// is let go of first, so a private cursor refills its chunk in place.
+fn refresh_chunk(d: &mut DrainCore, feed: &mut AccessFeed) {
+    feed.advance(d.pos - d.committed);
+    d.chunk = TraceChunk::empty();
+    let (chunk, pos) = feed.run_slice().expect("a cursor always has a slice");
+    d.len = chunk.len();
+    d.chunk = chunk;
+    d.pos = pos;
+    d.committed = pos;
 }
 
 /// Why a batched drain stopped.
@@ -220,8 +209,8 @@ impl<P: ObsProbe> std::fmt::Debug for CmpSystem<P> {
 impl CmpSystem<NullProbe> {
     /// Builds an unobserved system over one per-core source each — live
     /// generators ([`CoreWorkload`](cmp_trace::CoreWorkload)s, for custom
-    /// streams) or [`CoreSource`]s that replay shared materialized traces,
-    /// which is what the sweeps use.
+    /// streams, read through a private chunk) or [`CoreSource`]s that
+    /// replay shared materialized traces, which is what the sweeps use.
     ///
     /// # Panics
     ///
@@ -356,14 +345,8 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// finish keep executing — competing for cache space — until the last
     /// one is done, as in the paper's methodology (§5).
     ///
-    /// Runs on the batched event loop; the same as
-    /// [`run_batched`](CmpSystem::run_batched).
-    pub fn run(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
-        self.run_batched(instr_target, warmup_instrs)
-    }
-
-    /// [`run`](CmpSystem::run) without a hook: the batched event loop
-    /// straight through to the end of the measured window.
+    /// The batched event loop straight through to the end of the measured
+    /// window, with no hook (see [`try_run_batched`](CmpSystem::try_run_batched)).
     pub fn run_batched(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
         self.try_run_batched(instr_target, warmup_instrs, 0, |_| true)
             .expect("an always-continue hook cannot abort the run")
@@ -425,35 +408,11 @@ impl<P: ObsProbe> CmpSystem<P> {
         loop {
             let i = tree.winner();
             let d = &mut drain[i];
-            let pause = 'drain: loop {
+            let pause = loop {
                 if d.pos >= d.len {
                     refresh_chunk(d, &mut self.cores[i].source.feed);
                 }
-                let Some(chunk) = &d.chunk else {
-                    // Streaming generator (or budget-degraded cursor):
-                    // per-access pulls, still drained while `i` is the pick.
-                    loop {
-                        let acc = self.cores[i].source.feed.next_access();
-                        self.batched_access(
-                            i, &mut d.hot, d.inv_mf, &d.cpu, acc.addr, acc.kind, acc.stream,
-                        );
-                        tree.update(i, d.hot.clock);
-                        if let Some(p) = self.batched_bookkeeping(
-                            i,
-                            &d.hot,
-                            instr_target,
-                            warmup_instrs,
-                            &mut d.warm_base,
-                            &mut d.ended,
-                            &mut until_hook,
-                        ) {
-                            break 'drain p;
-                        }
-                        if tree.winner() != i {
-                            break 'drain Pause::Resched;
-                        }
-                    }
-                };
+                let chunk = &d.chunk;
                 let addrs = chunk.addrs();
                 let streams = chunk.streams();
                 let stores = chunk.store_words();
@@ -487,9 +446,9 @@ impl<P: ObsProbe> CmpSystem<P> {
                         break;
                     }
                 }
-                match pause {
-                    Some(p) => break 'drain p,
-                    None => continue 'drain, // chunk exhausted mid-drain
+                // `None`: the chunk ran out mid-drain.
+                if let Some(p) = pause {
+                    break p;
                 }
             };
             match pause {
@@ -525,7 +484,7 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// the run.
     fn commit_feeds(&mut self, drain: &mut [DrainCore]) {
         for (j, d) in drain.iter_mut().enumerate() {
-            if d.chunk.is_some() && d.pos > d.committed {
+            if d.pos > d.committed {
                 self.cores[j].source.feed.advance(d.pos - d.committed);
                 d.committed = d.pos;
             }
@@ -709,7 +668,7 @@ impl<P: ObsProbe> CmpSystem<P> {
     ///
     /// This is the aggregate an event stream reconciles against: probes
     /// observe every event from cycle zero, so their totals match
-    /// `lifetime_result()`, not the warm-up-windowed [`run`](CmpSystem::run)
+    /// `lifetime_result()`, not the warm-up-windowed [`run_batched`](CmpSystem::run_batched)
     /// result.
     pub fn lifetime_result(&self) -> RunResult {
         let cores = self
@@ -1235,7 +1194,7 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// Restores a snapshot taken by [`snapshot`](CmpSystem::snapshot) into
     /// this *freshly constructed* system, fast-forwarding each core's feed
     /// to the captured access position. Continuing with
-    /// [`run`](CmpSystem::run) (same targets) is bit-identical to the
+    /// [`run_batched`](CmpSystem::run_batched) (same targets) is bit-identical to the
     /// uninterrupted run the snapshot was taken from.
     ///
     /// # Errors
@@ -1493,7 +1452,7 @@ mod tests {
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 512)],
         );
-        let r = sys.run(50_000, 10_000);
+        let r = sys.run_batched(50_000, 10_000);
         assert_eq!(r.cores.len(), 1);
         let c = &r.cores[0];
         assert!(c.l1_hits as f64 / c.l1_accesses as f64 > 0.99, "l1 {c:?}");
@@ -1510,7 +1469,7 @@ mod tests {
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 4 << 10)],
         );
-        let r = sys.run(50_000, 10_000);
+        let r = sys.run_batched(50_000, 10_000);
         let c = &r.cores[0];
         assert!(c.l2_accesses > 0);
         assert_eq!(c.l2_mem, 0, "everything must hit the L2 after warmup");
@@ -1527,7 +1486,7 @@ mod tests {
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 1 << 20)],
         );
-        let r = sys.run(50_000, 10_000);
+        let r = sys.run_batched(50_000, 10_000);
         let c = &r.cores[0];
         assert!(c.l2_mem > 0);
         assert!(c.l2_mpki() > 20.0, "mpki {}", c.l2_mpki());
@@ -1566,7 +1525,7 @@ mod tests {
         // Fresh system, restore at access N, run to completion.
         let mut resumed = two_core_ascc();
         resumed.restore(&taken).expect("snapshot applies");
-        let resumed_result = resumed.run(30_000, 5_000);
+        let resumed_result = resumed.run_batched(30_000, 5_000);
 
         assert_eq!(straight_result, resumed_result);
         // Byte-identical end-state snapshots: every cache slab, counter,
@@ -1645,7 +1604,7 @@ mod tests {
             Box::new(PrivateBaseline::new()),
             vec![workload(0, 4 << 10), workload(1 << 30, 4 << 10)],
         );
-        let r = sys.run(30_000, 5_000);
+        let r = sys.run_batched(30_000, 5_000);
         assert!((r.cores[0].cpi() - r.cores[1].cpi()).abs() < 0.05);
         assert_eq!(r.spills, 0);
         assert_eq!(r.cores[0].l2_remote_hits, 0);
@@ -1659,7 +1618,7 @@ mod tests {
                 Box::new(PrivateBaseline::new()),
                 vec![workload(0, 8 << 10), workload(1 << 30, 64 << 10)],
             );
-            let r = sys.run(20_000, 5_000);
+            let r = sys.run_batched(20_000, 5_000);
             (r.cores[0].cycles, r.cores[1].cycles, r.offchip_accesses())
         };
         assert_eq!(go(), go());
@@ -1675,7 +1634,7 @@ mod tests {
         stores.stream = Box::new(StoreEverything(CyclicStream::words(0, 1 << 20, 0)));
         let mut sys =
             CmpSystem::from_sources(tiny_cfg(1), Box::new(PrivateBaseline::new()), vec![stores]);
-        let r = sys.run(50_000, 10_000);
+        let r = sys.run_batched(50_000, 10_000);
         assert!(r.cores[0].writebacks > 0, "{:?}", r.cores[0]);
     }
 

@@ -57,8 +57,8 @@ mod zipf;
 pub use access::{Access, AccessStream};
 pub use gen::{ChaseStream, CyclicStream, Mixture, Phased, ZipfStream};
 pub use materialize::{
-    trace_cache_enabled, AccessFeed, CoreSource, SharedTrace, TraceArena, TraceChunk, TraceCursor,
-    TraceKey, CHUNK_ACCESSES,
+    AccessFeed, CoreSource, SharedTrace, TraceArena, TraceChunk, TraceCursor, TraceKey,
+    CHUNK_ACCESSES,
 };
 pub use mixes::{four_app_mixes, mixes_for, two_app_mixes, WorkloadMix};
 pub use parallel::{ParallelBench, SharingSpec};

@@ -24,12 +24,17 @@
 //! packed `u64` byte-address array, a parallel `u16` stream-id array, and a
 //! store-kind bitset (one bit per access) — ≈ 10.1 bytes per access, ~660
 //! kB per chunk. Streams are infinite, so chunks are grown on demand; the
-//! arena's byte budget (`ASCC_TRACE_ARENA_MB`, default 4096) caps total
-//! materialized bytes, beyond which cursors fall back to private streaming
-//! generation (identical output, no sharing).
+//! arena's byte budget (`ASCC_TRACE_ARENA_MB`, default 4096; 0 shares
+//! nothing) caps total materialized bytes.
 //!
-//! `ASCC_TRACE_CACHE=0` disables the arena entirely:
-//! [`SpecBench::source`] then hands out plain streaming generators.
+//! ## One feed
+//!
+//! Every simulated core reads from a chunk. A cursor over a shared trace
+//! walks the arena's chunks; past the budget, and for live generators
+//! ([`TraceCursor::private`]), it reads ahead one small private chunk
+//! (4 Ki accesses) that it refills in place. Both yield the
+//! stream's exact access sequence, so the budget changes memory use and
+//! never results.
 
 use crate::access::{Access, AccessStream};
 use crate::spec::{CoreWorkload, CpuModel, SpecBench};
@@ -43,6 +48,11 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 /// chunk-boundary bookkeeping vanishes, small enough that lazy growth
 /// tracks the longest-running job without much overshoot.
 pub const CHUNK_ACCESSES: usize = 1 << 16;
+
+/// Accesses per private chunk (4 Ki, ~41 kB): small enough that one per
+/// simulated core barely moves peak memory, large enough that the refill
+/// call vanishes against generating the accesses.
+const PRIVATE_CHUNK_ACCESSES: usize = 1 << 12;
 
 /// Accesses ahead whose byte address [`TraceChunk::prefetch`] pulls in:
 /// two cache lines of `u64` addresses.
@@ -66,22 +76,46 @@ pub struct TraceChunk {
 impl TraceChunk {
     /// Materializes the next `n` accesses of `stream`.
     fn from_stream(stream: &mut dyn AccessStream, n: usize) -> Self {
-        let mut addrs = Vec::with_capacity(n);
-        let mut streams = Vec::with_capacity(n);
-        let mut stores = vec![0u64; n.div_ceil(64)];
-        for i in 0..n {
+        let mut c = TraceChunk {
+            addrs: vec![0; n].into_boxed_slice(),
+            streams: vec![0; n].into_boxed_slice(),
+            stores: vec![0; n.div_ceil(64)].into_boxed_slice(),
+        };
+        c.refill(stream);
+        c
+    }
+
+    /// Overwrites the chunk with the next `len()` accesses of `stream`.
+    fn refill(&mut self, stream: &mut dyn AccessStream) {
+        self.stores.fill(0);
+        for (i, (addr, id)) in self
+            .addrs
+            .iter_mut()
+            .zip(self.streams.iter_mut())
+            .enumerate()
+        {
             let a = stream.next_access();
-            addrs.push(a.addr.raw());
-            streams.push(a.stream);
+            *addr = a.addr.raw();
+            *id = a.stream;
             if a.kind.is_store() {
-                stores[i / 64] |= 1 << (i % 64);
+                self.stores[i / 64] |= 1 << (i % 64);
             }
         }
-        TraceChunk {
-            addrs: addrs.into_boxed_slice(),
-            streams: streams.into_boxed_slice(),
-            stores: stores.into_boxed_slice(),
-        }
+    }
+
+    /// A shared chunk of no accesses: what a cursor holds before its
+    /// first read, and what a reader swaps in to let go of a chunk.
+    pub fn empty() -> Arc<TraceChunk> {
+        static EMPTY: OnceLock<Arc<TraceChunk>> = OnceLock::new();
+        EMPTY
+            .get_or_init(|| {
+                Arc::new(TraceChunk {
+                    addrs: Box::new([]),
+                    streams: Box::new([]),
+                    stores: Box::new([]),
+                })
+            })
+            .clone()
     }
 
     /// Number of accesses in the chunk.
@@ -285,7 +319,7 @@ impl SharedTrace {
 
     /// Chunk `idx`, materializing up to it if needed. `None` once the byte
     /// budget is exhausted and `idx` lies beyond the materialized prefix —
-    /// the caller then falls back to private streaming generation.
+    /// a cursor then reads on from a private chunk.
     pub fn chunk(&self, idx: usize) -> Option<Arc<TraceChunk>> {
         {
             let chunks = self.chunks.read().expect("unpoisoned");
@@ -330,110 +364,127 @@ impl SharedTrace {
 
     /// A replay cursor positioned at access 0.
     pub fn cursor(self: &Arc<Self>) -> TraceCursor {
-        TraceCursor {
+        TraceCursor::over(Source::Shared {
             trace: self.clone(),
-            chunk: None,
-            next_chunk: 0,
-            pos: 0,
-            fallback: None,
-        }
+            next: 0,
+        })
     }
 }
 
-/// Batched replay over a [`SharedTrace`]: the hot path is a bounds check
-/// and three indexed loads from the current chunk's SoA arrays — no
-/// virtual dispatch, no RNG.
+/// Where a [`TraceCursor`] gets its next chunk.
+enum Source {
+    /// Chunk `next` onward of a shared trace.
+    Shared {
+        trace: Arc<SharedTrace>,
+        next: usize,
+    },
+    /// A private generator, read ahead one chunk at a time.
+    Private(Box<dyn AccessStream>),
+}
+
+/// Batched replay: the hot path is a bounds check and three indexed loads
+/// from the current chunk's SoA arrays — no virtual dispatch, no RNG.
+///
+/// The chunks come from a [`SharedTrace`] or, for a live generator and
+/// past the arena budget, from one private 4 Ki-access chunk the cursor
+/// refills in place once every reader has let go of it.
+/// Read-ahead is safe because streams never end and are pure per core.
 pub struct TraceCursor {
-    trace: Arc<SharedTrace>,
-    chunk: Option<Arc<TraceChunk>>,
-    /// Index of the chunk after the current one.
-    next_chunk: usize,
+    source: Source,
+    /// The current chunk; empty until the first read.
+    chunk: Arc<TraceChunk>,
+    /// Next unconsumed access within `chunk`.
     pos: usize,
-    /// Private regeneration once the arena budget is exhausted.
-    fallback: Option<Box<dyn AccessStream>>,
 }
 
 impl std::fmt::Debug for TraceCursor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let next = match &self.source {
+            Source::Shared { next, .. } => Some(next),
+            Source::Private(_) => None,
+        };
         f.debug_struct("TraceCursor")
-            .field("next_chunk", &self.next_chunk)
+            .field("next_shared_chunk", &next)
             .field("pos", &self.pos)
-            .field("fallback", &self.fallback.is_some())
             .finish()
     }
 }
 
 impl TraceCursor {
+    /// A cursor over a live generator: it reads `stream` ahead into a
+    /// private chunk, filled on the first read.
+    pub fn private(stream: Box<dyn AccessStream>) -> Self {
+        TraceCursor::over(Source::Private(stream))
+    }
+
+    fn over(source: Source) -> Self {
+        TraceCursor {
+            source,
+            chunk: TraceChunk::empty(),
+            pos: 0,
+        }
+    }
+
     /// Produces the next access (identical to what the factory stream
     /// would have produced at this position).
     #[inline]
     pub fn next_access(&mut self) -> Access {
-        if let Some(c) = &self.chunk {
-            if self.pos < c.len() {
-                let a = c.get(self.pos);
-                self.pos += 1;
-                return a;
-            }
+        if self.pos == self.chunk.len() {
+            self.refill();
         }
-        self.next_access_cold()
+        let a = self.chunk.get(self.pos);
+        self.pos += 1;
+        a
     }
 
-    /// Off-chunk path: fetch the next chunk, or regenerate privately once
-    /// the arena refuses to grow.
+    /// Loads the next chunk once the current one is consumed: the next
+    /// shared chunk, or else a refill of the private one. When the arena
+    /// refuses to grow, the cursor rebuilds the stream from its factory,
+    /// discards the prefix it already replayed, and reads on privately.
     #[cold]
-    fn next_access_cold(&mut self) -> Access {
-        if let Some(fb) = &mut self.fallback {
-            return fb.next_access();
-        }
-        match self.trace.chunk(self.next_chunk) {
-            Some(c) => {
-                self.chunk = Some(c);
-                self.next_chunk += 1;
+    fn refill(&mut self) {
+        if let Source::Shared { trace, next } = &mut self.source {
+            if let Some(c) = trace.chunk(*next) {
+                *next += 1;
+                self.chunk = c;
                 self.pos = 0;
-                self.next_access()
+                return;
             }
-            None => {
-                // Budget exhausted: rebuild the stream from its factory and
-                // discard the prefix this cursor already replayed. From here
-                // on the cursor is an ordinary private generator.
-                let consumed = self.consumed();
-                let mut s = (self.trace.factory)();
-                for _ in 0..consumed {
-                    s.next_access();
+            let mut s = (trace.factory)();
+            for _ in 0..*next * trace.chunk_accesses {
+                s.next_access();
+            }
+            self.source = Source::Private(s);
+        }
+        if let Source::Private(s) = &mut self.source {
+            match Arc::get_mut(&mut self.chunk) {
+                Some(c) if c.len() == PRIVATE_CHUNK_ACCESSES => c.refill(s.as_mut()),
+                _ => {
+                    self.chunk =
+                        Arc::new(TraceChunk::from_stream(s.as_mut(), PRIVATE_CHUNK_ACCESSES));
                 }
-                let a = s.next_access();
-                self.fallback = Some(s);
-                a
             }
         }
+        self.pos = 0;
     }
 
     /// The chunk this cursor currently points into plus the index of the
-    /// next unconsumed access in it, materializing the next chunk when the
-    /// current one is exhausted. Returns `None` once the arena budget has
-    /// forced private regeneration (callers then fall back to per-access
-    /// [`next_access`](TraceCursor::next_access), which installs the
-    /// fallback stream) — so the batched engine can scan a whole chunk run
-    /// without per-access dispatch, committing consumption afterwards via
-    /// [`advance`](TraceCursor::advance).
+    /// next unconsumed access in it, loading the next chunk when the
+    /// current one is consumed — so the batched engine can scan a whole
+    /// chunk run without per-access dispatch, committing consumption
+    /// afterwards via [`advance`](TraceCursor::advance).
+    ///
+    /// Always `Some`: every cursor reads from a chunk. The `Option` stays
+    /// for callers written against the type.
+    ///
+    /// A private chunk is refilled in place only once the caller has
+    /// dropped the `Arc` this returned; while it is held, the refill
+    /// allocates a new chunk instead.
     pub fn run_slice(&mut self) -> Option<(Arc<TraceChunk>, usize)> {
-        if self.fallback.is_some() {
-            return None;
+        if self.pos == self.chunk.len() {
+            self.refill();
         }
-        if let Some(c) = &self.chunk {
-            if self.pos < c.len() {
-                return Some((c.clone(), self.pos));
-            }
-        }
-        match self.trace.chunk(self.next_chunk) {
-            Some(c) => {
-                self.chunk = Some(c.clone());
-                self.next_chunk += 1;
-                self.pos = 0;
-                Some((c, 0))
-            }
-            None => None,
-        }
+        Some((self.chunk.clone(), self.pos))
     }
 
     /// Commits `n` accesses consumed out of the slice handed back by
@@ -445,59 +496,24 @@ impl TraceCursor {
     #[inline]
     pub fn advance(&mut self, n: usize) {
         debug_assert!(
-            self.chunk.as_ref().is_some_and(|c| self.pos + n <= c.len()),
+            self.pos + n <= self.chunk.len(),
             "advance({n}) past the current chunk"
         );
         self.pos += n;
     }
 
-    /// Accesses replayed so far (chunks are uniformly sized; `next_chunk`
-    /// counts the current chunk when one is loaded).
-    fn consumed(&self) -> u64 {
-        match &self.chunk {
-            Some(_) => {
-                (self.next_chunk as u64 - 1) * self.trace.chunk_accesses as u64 + self.pos as u64
+    /// Advances past `n` accesses without producing them, one chunk at a
+    /// time: shared chunks are skipped whole, a private generator fills
+    /// and skips its chunk. Checkpoint restore uses this to reposition a
+    /// fresh cursor at the snapshot's access index.
+    pub fn fast_forward(&mut self, mut n: u64) {
+        while n > 0 {
+            if self.pos == self.chunk.len() {
+                self.refill();
             }
-            None => 0,
-        }
-    }
-
-    /// Advances past `n` accesses without producing them.
-    ///
-    /// On the chunk path this is O(1) cursor arithmetic (plus materializing
-    /// the target chunk); once the budget forces private regeneration it
-    /// degrades to generating and discarding the skipped prefix — the same
-    /// cost the fallback path already pays. Checkpoint restore uses this to
-    /// reposition a fresh cursor at the snapshot's access index.
-    pub fn fast_forward(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if let Some(fb) = &mut self.fallback {
-            for _ in 0..n {
-                fb.next_access();
-            }
-            return;
-        }
-        let target = self.consumed() + n;
-        let ca = self.trace.chunk_accesses as u64;
-        let (chunk_idx, pos) = ((target / ca) as usize, (target % ca) as usize);
-        match self.trace.chunk(chunk_idx) {
-            Some(c) => {
-                self.chunk = Some(c);
-                self.next_chunk = chunk_idx + 1;
-                self.pos = pos;
-            }
-            None => {
-                // Budget exhausted before the target chunk: regenerate
-                // privately and discard the prefix, exactly as
-                // `next_access_cold` would.
-                let mut s = (self.trace.factory)();
-                for _ in 0..target {
-                    s.next_access();
-                }
-                self.fallback = Some(s);
-            }
+            let step = n.min((self.chunk.len() - self.pos) as u64);
+            self.pos += step as usize;
+            n -= step;
         }
     }
 }
@@ -540,17 +556,14 @@ impl TraceArena {
         }
     }
 
-    /// The process-wide arena, capped by `ASCC_TRACE_ARENA_MB` (default
-    /// 4096 MB; zero or unparsable values fall back to the default).
+    /// The process-wide arena, capped by `ASCC_TRACE_ARENA_MB`: default
+    /// 4096 MiB, 0 shares nothing (every cursor reads a private chunk),
+    /// and values too large to count in bytes saturate.
     pub fn global() -> &'static TraceArena {
         static GLOBAL: OnceLock<TraceArena> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let mb = std::env::var("ASCC_TRACE_ARENA_MB")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(4096);
-            TraceArena::with_max_bytes(mb << 20)
+            let mb = std::env::var("ASCC_TRACE_ARENA_MB").ok();
+            TraceArena::with_max_bytes(arena_cap_bytes(mb.as_deref()))
         })
     }
 
@@ -591,94 +604,44 @@ impl TraceArena {
     }
 }
 
-/// `false` when `ASCC_TRACE_CACHE=0` asked for plain streaming generation
-/// (cached after the first read: the choice is per-process).
-pub fn trace_cache_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("ASCC_TRACE_CACHE").map_or(true, |v| v != "0"))
+/// The arena byte cap an `ASCC_TRACE_ARENA_MB` value asks for: 4096 MiB
+/// when unset or unparsable, 0 to share nothing (every cursor reads a
+/// private chunk), and saturating at `u64::MAX` rather than wrapping.
+fn arena_cap_bytes(mb: Option<&str>) -> u64 {
+    mb.and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(4096)
+        .saturating_mul(1 << 20)
 }
 
-/// The access front-end of one simulated core: either a live generator
-/// stream (arbitrary workloads, tests, `trace_tool`) or a batched cursor
-/// over shared materialized chunks (the sweep fast path).
+/// The access front-end of one simulated core: a [`TraceCursor`], over
+/// shared arena chunks or a private chunk of a live generator. The enum
+/// keeps its one variant so code that builds `AccessFeed::Replay(cursor)`
+/// keeps compiling; it derefs to the cursor.
+#[derive(Debug)]
 pub enum AccessFeed {
-    /// One virtual call into a generator stack per access.
-    Streaming(Box<dyn AccessStream>),
-    /// Monomorphic chunk replay from a [`SharedTrace`].
+    /// Chunk replay through a [`TraceCursor`].
     Replay(TraceCursor),
 }
 
-impl std::fmt::Debug for AccessFeed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AccessFeed::Streaming(_) => f.write_str("AccessFeed::Streaming"),
-            AccessFeed::Replay(c) => f.debug_tuple("AccessFeed::Replay").field(c).finish(),
-        }
+impl std::ops::Deref for AccessFeed {
+    type Target = TraceCursor;
+
+    fn deref(&self) -> &TraceCursor {
+        let AccessFeed::Replay(c) = self;
+        c
     }
 }
 
-impl AccessFeed {
-    /// Produces the next access.
-    #[inline]
-    pub fn next_access(&mut self) -> Access {
-        match self {
-            AccessFeed::Streaming(s) => s.next_access(),
-            AccessFeed::Replay(c) => c.next_access(),
-        }
-    }
-
-    /// The current chunk run for batched draining, or `None` for streaming
-    /// generators and budget-degraded cursors (which only serve per-access
-    /// [`next_access`](AccessFeed::next_access)). See
-    /// [`TraceCursor::run_slice`].
-    #[inline]
-    pub fn run_slice(&mut self) -> Option<(Arc<TraceChunk>, usize)> {
-        match self {
-            AccessFeed::Streaming(_) => None,
-            AccessFeed::Replay(c) => c.run_slice(),
-        }
-    }
-
-    /// Commits `n` accesses consumed out of [`run_slice`](AccessFeed::run_slice).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a streaming feed — there is no slice to commit against.
-    #[inline]
-    pub fn advance(&mut self, n: usize) {
-        match self {
-            AccessFeed::Streaming(_) => panic!("advance() without a run_slice()"),
-            AccessFeed::Replay(c) => c.advance(n),
-        }
-    }
-
-    /// Advances past `n` accesses without producing them.
-    ///
-    /// Streams are fully deterministic, so a restored run repositions a
-    /// freshly built feed with this instead of serialising generator
-    /// internals: replay cursors seek in O(1), streaming generators pay one
-    /// generate-and-discard pass over the skipped prefix.
-    pub fn fast_forward(&mut self, n: u64) {
-        match self {
-            AccessFeed::Streaming(s) => {
-                for _ in 0..n {
-                    s.next_access();
-                }
-            }
-            AccessFeed::Replay(c) => c.fast_forward(n),
-        }
-    }
-}
-
-impl AccessStream for AccessFeed {
-    fn next_access(&mut self) -> Access {
-        AccessFeed::next_access(self)
+impl std::ops::DerefMut for AccessFeed {
+    fn deref_mut(&mut self) -> &mut TraceCursor {
+        let AccessFeed::Replay(c) = self;
+        c
     }
 }
 
 /// A per-core workload source: like [`CoreWorkload`], but its accesses come
-/// through an [`AccessFeed`] so materialized replay and live generation are
-/// interchangeable at the simulator front-end.
+/// through an [`AccessFeed`], so shared replay and live generation read
+/// the same way at the simulator front-end.
 #[derive(Debug)]
 pub struct CoreSource {
     /// Display label, e.g. `"473.astar"`.
@@ -694,51 +657,37 @@ impl From<CoreWorkload> for CoreSource {
         CoreSource {
             label: w.label,
             cpu: w.cpu,
-            feed: AccessFeed::Streaming(w.stream),
+            feed: AccessFeed::Replay(TraceCursor::private(w.stream)),
         }
     }
 }
 
 impl SpecBench {
-    /// The benchmark's workload as a [`CoreSource`]: replayed from the
-    /// process-wide [`TraceArena`] when trace caching is enabled (the
-    /// default), or a plain streaming generator under
-    /// `ASCC_TRACE_CACHE=0`. Identical access sequence either way.
+    /// The benchmark's workload as a [`CoreSource`], replayed from the
+    /// process-wide [`TraceArena`]: the access sequence of
+    /// [`workload`](SpecBench::workload), generated once per process.
     pub fn source(self, base: u64, seed: u64) -> CoreSource {
-        let w = |feed| CoreSource {
+        CoreSource {
             label: self.name().to_string(),
             cpu: self.cpu_model(),
-            feed,
-        };
-        if trace_cache_enabled() {
-            let cursor = TraceArena::global().shared(self, base, seed).cursor();
-            w(AccessFeed::Replay(cursor))
-        } else {
-            self.workload(base, seed).into()
+            feed: AccessFeed::Replay(TraceArena::global().shared(self, base, seed).cursor()),
         }
     }
 }
 
 impl TenantScenario {
     /// The scenario's per-core workload as a [`CoreSource`], replayed from
-    /// the process-wide [`TraceArena`] when trace caching is enabled —
-    /// same arena discipline as [`SpecBench::source`], keyed by
-    /// `(scenario, cores, core, seed)` so sweeps over the policy zoo pay
-    /// the (expensive, millions-of-keys) generation once per process.
+    /// the process-wide [`TraceArena`] — same arena discipline as
+    /// [`SpecBench::source`], keyed by `(scenario, cores, core, seed)` so
+    /// sweeps over the policy zoo pay the (expensive, millions-of-keys)
+    /// generation once per process.
     pub fn source(self, cores: usize, core: usize, seed: u64) -> CoreSource {
-        let w = |feed| CoreSource {
+        let key = TraceKey::Tenant(self, cores as u16, core as u16, seed);
+        let trace = TraceArena::global().shared_keyed(key, move || self.stream(cores, core, seed));
+        CoreSource {
             label: format!("tenant:{}.c{core}", self.name()),
             cpu: self.cpu_model(),
-            feed,
-        };
-        if trace_cache_enabled() {
-            let key = TraceKey::Tenant(self, cores as u16, core as u16, seed);
-            let cursor = TraceArena::global()
-                .shared_keyed(key, move || self.stream(cores, core, seed))
-                .cursor();
-            w(AccessFeed::Replay(cursor))
-        } else {
-            self.workload(cores, core, seed).into()
+            feed: AccessFeed::Replay(trace.cursor()),
         }
     }
 }
@@ -826,14 +775,16 @@ mod tests {
         for i in 0..100 {
             assert_eq!(seeked.next_access(), reference.next_access(), "access {i}");
         }
-        // Streaming feed wrapper.
-        let mut feed = AccessFeed::Streaming(layered());
-        feed.fast_forward(123);
-        let mut reference = layered();
-        for _ in 0..123 {
-            reference.next_access();
+        // Private cursor: within the first chunk, and across several.
+        for skip in [123u64, 3 * PRIVATE_CHUNK_ACCESSES as u64 + 5] {
+            let mut feed = AccessFeed::Replay(TraceCursor::private(layered()));
+            feed.fast_forward(skip);
+            let mut reference = layered();
+            for _ in 0..skip {
+                reference.next_access();
+            }
+            assert_eq!(feed.next_access(), reference.next_access(), "skip {skip}");
         }
-        assert_eq!(feed.next_access(), reference.next_access());
     }
 
     #[test]
@@ -870,7 +821,7 @@ mod tests {
     #[test]
     fn budget_cap_falls_back_to_identical_streaming() {
         // Budget fits exactly two 64-access chunks; the rest must come from
-        // the private fallback and still match streaming bit for bit.
+        // the cursor's private chunk and still match streaming bit for bit.
         let budget = Arc::new(ArenaBudget {
             max_bytes: 2 * TraceChunk::bytes_for(64),
             used: AtomicU64::new(0),
@@ -998,8 +949,56 @@ mod tests {
     }
 
     #[test]
+    fn private_cursor_refills_one_chunk_in_place() {
+        let mut cursor = TraceCursor::private(layered());
+        let mut stream = layered();
+        let (first, _) = cursor.run_slice().expect("always a slice");
+        let ptr = Arc::as_ptr(&first);
+        drop(first);
+        for i in 0..3 * PRIVATE_CHUNK_ACCESSES + 7 {
+            assert_eq!(cursor.next_access(), stream.next_access(), "access {i}");
+        }
+        let (chunk, pos) = cursor.run_slice().expect("always a slice");
+        assert_eq!((chunk.len(), pos), (PRIVATE_CHUNK_ACCESSES, 7));
+        assert_eq!(Arc::as_ptr(&chunk), ptr, "unheld chunk refilled in place");
+        // A held chunk is left alone: the refill allocates a new one, and
+        // the held slice keeps its accesses.
+        let held: Vec<u64> = chunk.addrs().to_vec();
+        cursor.advance(PRIVATE_CHUNK_ACCESSES - 7);
+        for _ in 7..PRIVATE_CHUNK_ACCESSES {
+            stream.next_access();
+        }
+        let (next, pos) = cursor.run_slice().expect("always a slice");
+        assert_eq!(pos, 0);
+        assert!(!Arc::ptr_eq(&next, &chunk));
+        assert_eq!(chunk.addrs(), &held[..]);
+        for i in 0..10 {
+            assert_eq!(next.get(i), stream.next_access(), "access {i}");
+        }
+    }
+
+    #[test]
+    fn arena_cap_saturates_and_zero_shares_nothing() {
+        assert_eq!(arena_cap_bytes(None), 4096 << 20);
+        assert_eq!(arena_cap_bytes(Some("junk")), 4096 << 20);
+        assert_eq!(arena_cap_bytes(Some("0")), 0);
+        assert_eq!(arena_cap_bytes(Some("64")), 64 << 20);
+        // 2^44 MiB is 2^64 bytes: saturate, never wrap to a 0-byte cap.
+        assert_eq!(arena_cap_bytes(Some("17592186044416")), u64::MAX);
+        // A zero cap materializes nothing and still replays exactly.
+        let arena = TraceArena::with_max_bytes(0);
+        let mut cursor = arena.shared(SpecBench::Namd, 0, 1).cursor();
+        let mut stream = SpecBench::Namd.workload(0, 1).stream;
+        for i in 0..PRIVATE_CHUNK_ACCESSES + 10 {
+            assert_eq!(cursor.next_access(), stream.next_access(), "access {i}");
+        }
+        assert_eq!(arena.bytes(), 0);
+    }
+
+    #[test]
     fn feed_and_source_wrap_streams() {
-        let mut feed = AccessFeed::Streaming(Box::new(CyclicStream::words(0, 8, 5)));
+        let mut feed =
+            AccessFeed::Replay(TraceCursor::private(Box::new(CyclicStream::words(0, 8, 5))));
         assert_eq!(feed.next_access().addr.raw(), 0);
         assert_eq!(feed.next_access().addr.raw(), 4);
         let w = SpecBench::Namd.workload(0, 3);

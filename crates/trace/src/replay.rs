@@ -20,6 +20,10 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"ASCCTRC1";
 
+/// Records reserved up front while reading a trace (~64 kB): the header's
+/// count is untrusted, so the buffer grows as records actually arrive.
+const READ_RESERVE: u64 = 1 << 12;
+
 /// Error while decoding a recorded trace.
 #[derive(Debug)]
 pub enum TraceError {
@@ -140,7 +144,7 @@ impl RecordedTrace {
         if count == 0 {
             return Err(TraceError::Empty);
         }
-        let mut accesses = Vec::with_capacity(count.min(1 << 24) as usize);
+        let mut accesses = Vec::with_capacity(count.min(READ_RESERVE) as usize);
         for _ in 0..count {
             let mut rec = [0u8; 11];
             r.read_exact(&mut rec).map_err(eof_as_truncated)?;

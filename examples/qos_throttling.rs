@@ -69,7 +69,7 @@ fn main() {
         Box::new(shape(true).build()),
         mix_workloads(&mix, seed),
     );
-    sys.run(1_000_000, 200_000);
+    sys.run_batched(1_000_000, 200_000);
     let snap = sys.policy().snapshot();
     for core in 0..cfg.cores {
         let ratio = snap

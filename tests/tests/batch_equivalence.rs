@@ -1,15 +1,20 @@
 //! Batched event-loop equivalence across feeds, workers and checkpoints
 //! (DESIGN.md §5h).
 //!
-//! The batched event loop drains whole trace-chunk runs per core when a
-//! core replays from the trace arena, and pulls one access at a time from
-//! a live (streaming) generator otherwise. Its scheduling is checked
-//! against the oracle's spec-literal interleave in `differential.rs`; this
-//! file checks that everything around the scheduler is invisible:
+//! Every core of the batched event loop drains chunk runs: shared chunks
+//! when it replays from the trace arena, a private chunk it refills when
+//! it reads a live generator or has outrun the arena's byte budget. Its
+//! scheduling is checked against the oracle's spec-literal interleave in
+//! `differential.rs`; this file checks that everything around the
+//! scheduler is invisible:
 //!
-//! * for every policy in the zoo, a generator-fed run (the per-access path)
-//!   and an arena-fed run (the chunk path) of the same mix produce the same
+//! * for every policy in the zoo, a generator-fed run (private chunks) and
+//!   an arena-fed run (shared chunks) of the same mix produce the same
 //!   `RunResult` *and* the same end-state snapshot bytes;
+//! * runs over a zero-budget arena and over arenas that run out of budget
+//!   mid-run (each cursor switching to a private chunk past 64 Ki
+//!   accesses) match the uncapped run to the byte, and a mid-run
+//!   checkpoint restored onto a capped arena finishes bit-identically;
 //! * an 8-worker `SweepPool` of arena-fed runs is byte-identical to one
 //!   worker running the generator-fed ones;
 //! * the batched hook fires at *exactly* every `hook_every` global accesses
@@ -21,8 +26,10 @@
 
 use ascc_integration::{all_policies, small_config};
 use cmp_cache::{CacheGeometry, LlcPolicy};
-use cmp_sim::{mix_sources, mix_workloads, CmpSystem, SweepPool, SystemConfig};
-use cmp_trace::two_app_mixes;
+use cmp_sim::{
+    core_seed, mix_sources, mix_workloads, CmpSystem, SweepPool, SystemConfig, CORE_SPACE_BITS,
+};
+use cmp_trace::{two_app_mixes, AccessFeed, CoreSource, TraceArena, TraceChunk, CHUNK_ACCESSES};
 
 const INSTRS: u64 = 40_000;
 const WARMUP: u64 = 10_000;
@@ -79,12 +86,121 @@ fn batched_matches_streaming_for_every_policy() {
 }
 
 /// The same comparison on the larger `small_config` system and another
-/// mix: with no trace chunks every access of the generator-fed run goes
-/// through the batched loop's per-access path, and it still matches the
-/// chunk path for every policy.
+/// mix: the generator-fed run shares no trace chunks — each core reads
+/// its live generator through a private chunk — and it still matches the
+/// shared-chunk run for every policy.
 #[test]
 fn batched_matches_streaming_without_trace_chunks() {
     assert_feeds_agree(&small_config(2), 1);
+}
+
+// ----- arenas that run out of budget ---------------------------------
+
+/// Long enough that every core of mix 0 replays more than one shared
+/// chunk ([`CHUNK_ACCESSES`]), so a capped arena runs out mid-run.
+const LONG_INSTRS: u64 = 300_000;
+const LONG_WARMUP: u64 = 50_000;
+
+/// Mix 0 on the pressured system, each core replaying from `arena`.
+fn arena_sys(arena: &TraceArena, policy: Box<dyn LlcPolicy>) -> CmpSystem {
+    let cfg = pressured_cfg();
+    let sources: Vec<CoreSource> = two_app_mixes()[0]
+        .benches
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| {
+            let trace = arena.shared(b, (i as u64) << CORE_SPACE_BITS, core_seed(SEED, i));
+            CoreSource {
+                label: b.name().to_string(),
+                cpu: b.cpu_model(),
+                feed: AccessFeed::Replay(trace.cursor()),
+            }
+        })
+        .collect();
+    CmpSystem::from_sources(cfg, policy, sources)
+}
+
+fn ascc() -> Box<dyn LlcPolicy> {
+    all_policies(&pressured_cfg()).remove(6)
+}
+
+/// Arena budgets that run out: nothing at all, one chunk in total (one
+/// core shares it, the other reads privately from its first access), and
+/// one chunk per core (both cores switch to a private chunk mid-run).
+fn capped_arenas() -> [(TraceArena, &'static str); 3] {
+    let chunk = TraceChunk::bytes_for(CHUNK_ACCESSES);
+    [
+        (TraceArena::with_max_bytes(0), "zero budget"),
+        (TraceArena::with_max_bytes(chunk), "one chunk"),
+        (TraceArena::with_max_bytes(2 * chunk), "one chunk per core"),
+    ]
+}
+
+/// A run whose cursors outgrow the arena budget — before the first access
+/// or past their first shared chunk — matches the uncapped run to the
+/// byte.
+#[test]
+fn capped_arena_matches_uncapped_run() {
+    let mut uncapped = arena_sys(&TraceArena::with_max_bytes(u64::MAX), ascc());
+    let reference = uncapped.run_batched(LONG_INSTRS, LONG_WARMUP);
+    let reference_end = uncapped.snapshot();
+    for core in &uncapped.lifetime_result().cores {
+        assert!(
+            core.l1_accesses > CHUNK_ACCESSES as u64,
+            "run too short to cross a chunk: {core:?}"
+        );
+    }
+    for (arena, what) in capped_arenas() {
+        let mut capped = arena_sys(&arena, ascc());
+        assert_eq!(
+            capped.run_batched(LONG_INSTRS, LONG_WARMUP),
+            reference,
+            "{what}: RunResult diverged"
+        );
+        assert_eq!(
+            capped.snapshot(),
+            reference_end,
+            "{what}: end snapshot diverged"
+        );
+        assert!(
+            arena.bytes() <= 2 * TraceChunk::bytes_for(CHUNK_ACCESSES),
+            "{what}: the arena outgrew its budget"
+        );
+    }
+}
+
+/// A checkpoint taken past the first chunk of an uncapped run, restored
+/// onto a one-chunk arena (the restore fast-forwards each cursor past the
+/// budget), finishes bit-identically.
+#[test]
+fn mid_run_checkpoint_restores_onto_capped_arena() {
+    let mut straight = arena_sys(&TraceArena::with_max_bytes(u64::MAX), ascc());
+    let straight_result = straight.run_batched(LONG_INSTRS, LONG_WARMUP);
+    let straight_end = straight.snapshot();
+
+    let mut victim = arena_sys(&TraceArena::with_max_bytes(u64::MAX), ascc());
+    let mut ckpt = None;
+    let aborted = victim.try_run_batched(
+        LONG_INSTRS,
+        LONG_WARMUP,
+        3 * CHUNK_ACCESSES as u64 + 1,
+        |s| {
+            ckpt = Some(s.snapshot());
+            false
+        },
+    );
+    assert!(aborted.is_none(), "the aborting hook must kill the run");
+    let ckpt = ckpt.expect("a checkpoint was captured");
+
+    let arena = TraceArena::with_max_bytes(TraceChunk::bytes_for(CHUNK_ACCESSES));
+    let mut resumed = arena_sys(&arena, ascc());
+    resumed.restore(&ckpt).expect("restore onto a capped arena");
+    assert_eq!(
+        resumed.run_batched(LONG_INSTRS, LONG_WARMUP),
+        straight_result,
+        "RunResult diverged after restoring onto a capped arena"
+    );
+    assert_eq!(resumed.snapshot(), straight_end, "end snapshot diverged");
 }
 
 /// An 8-worker sweep of arena-fed batched runs must be byte-identical to

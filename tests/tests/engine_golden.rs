@@ -143,7 +143,7 @@ fn mid_run_restore_matches_golden_runs() {
             .restore(&mid)
             .unwrap_or_else(|e| panic!("{name}: restore: {e}"));
         assert_eq!(
-            resumed.run(INSTRS, WARMUP),
+            resumed.run_batched(INSTRS, WARMUP),
             straight_result,
             "{name}: resumed run diverged from the golden-pinned straight run"
         );
@@ -182,7 +182,7 @@ fn capture_wide() -> Value {
                 .map(|(name, policy)| {
                     let mut sys =
                         CmpSystem::from_sources(cfg.clone(), policy, mix_sources(mix, SEED));
-                    let r = sys.run(WIDE_INSTRS, WIDE_WARMUP);
+                    let r = sys.run_batched(WIDE_INSTRS, WIDE_WARMUP);
                     let bus = sys.fabric().stats();
                     assert!(
                         bus.probes <= bus.broadcast_probes(cores),

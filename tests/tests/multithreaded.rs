@@ -22,7 +22,7 @@ fn shared_data_produces_remote_hits_then_replicas() {
         Box::new(PrivateBaseline::new()),
         ParallelBench::Streamcluster.workloads(4, 5),
     );
-    let r = sys.run(150_000, 30_000);
+    let r = sys.run_batched(150_000, 30_000);
     let remote: u64 = r.cores.iter().map(|c| c.l2_remote_hits).sum();
     assert!(
         remote > 0,
@@ -38,7 +38,7 @@ fn every_parallel_model_runs_under_avgcc() {
     for b in ParallelBench::ALL {
         let policy = AvgccConfig::avgcc(cfg.cores, cfg.l2.sets(), cfg.l2.ways()).build();
         let mut sys = CmpSystem::from_sources(cfg.clone(), Box::new(policy), b.workloads(4, 9));
-        let r = sys.run(80_000, 20_000);
+        let r = sys.run_batched(80_000, 20_000);
         assert!(
             r.cores.iter().all(|c| c.instrs >= 80_000),
             "{b}: all threads must reach their target"
@@ -58,7 +58,7 @@ fn writes_to_shared_data_invalidate_replicas() {
         Box::new(PrivateBaseline::new()),
         ParallelBench::Radix.workloads(2, 3),
     );
-    sys.run(120_000, 30_000);
+    sys.run_batched(120_000, 30_000);
     cmp_coherence::assert_coherent(sys.l2s());
 }
 
@@ -73,7 +73,7 @@ fn avgcc_does_not_break_down_on_shared_workloads() {
             policy,
             ParallelBench::Streamcluster.workloads(4, 7),
         );
-        sys.run(200_000, 50_000)
+        sys.run_batched(200_000, 50_000)
     };
     let base = run(Box::new(PrivateBaseline::new()));
     let avgcc = run(Box::new(

@@ -48,7 +48,7 @@ fn null_probe_runs_are_bit_identical_to_probe_free_runs() {
         let plain = {
             let policy = policies(&cfg).swap_remove(mk);
             let mut sys = CmpSystem::from_sources(cfg.clone(), policy, hungry_plus_idle());
-            sys.run(150_000, 30_000)
+            sys.run_batched(150_000, 30_000)
         };
         let probed = {
             let policy = policies(&cfg).swap_remove(mk);
@@ -59,7 +59,7 @@ fn null_probe_runs_are_bit_identical_to_probe_free_runs() {
                 NullProbe,
                 0,
             );
-            sys.run(150_000, 30_000)
+            sys.run_batched(150_000, 30_000)
         };
         assert_eq!(plain, probed, "policy #{mk} diverged under NullProbe");
     }
@@ -77,7 +77,7 @@ fn recorder_totals_reconcile_with_lifetime_counters() {
     let mut rec = EpochRecorder::new(2);
     let mut sys =
         CmpSystem::with_probe_sources(cfg.clone(), policy, mix_workloads(&mix, 1), &mut rec, 0);
-    sys.run(200_000, 50_000);
+    sys.run_batched(200_000, 50_000);
     let life = sys.lifetime_result();
     drop(sys);
     rec.finish();
@@ -109,7 +109,7 @@ fn epochs_carry_policy_snapshots_with_set_roles() {
     let mut rec = EpochRecorder::new(2);
     let mut sys =
         CmpSystem::with_probe_sources(cfg.clone(), policy, hungry_plus_idle(), &mut rec, 5_000);
-    sys.run(200_000, 50_000);
+    sys.run_batched(200_000, 50_000);
     drop(sys);
     rec.finish();
     assert!(rec.epochs().len() >= 4, "got {} epochs", rec.epochs().len());
@@ -142,7 +142,7 @@ fn avgcc_epoch_snapshots_expose_granularity_trajectory() {
         &mut rec,
         5_000,
     );
-    sys.run(300_000, 50_000);
+    sys.run_batched(300_000, 50_000);
     drop(sys);
     rec.finish();
     let granularities: Vec<Vec<u8>> = rec

@@ -36,7 +36,7 @@ fn ascc_converts_memory_misses_into_remote_hits() {
     let cfg = small_config(2);
     let run = |policy: Box<dyn cmp_cache::LlcPolicy>| {
         let mut sys = CmpSystem::from_sources(cfg.clone(), policy, hungry_plus_idle(&cfg));
-        sys.run(400_000, 100_000)
+        sys.run_batched(400_000, 100_000)
     };
     let base = run(Box::new(PrivateBaseline::new()));
     let ascc = run(Box::new(
@@ -85,13 +85,13 @@ fn sabip_fights_capacity_thrashing_without_receivers() {
         ]
     };
     let mut base_sys = CmpSystem::from_sources(cfg.clone(), Box::new(PrivateBaseline::new()), mk());
-    let base = base_sys.run(400_000, 100_000);
+    let base = base_sys.run_batched(400_000, 100_000);
     let mut ascc_sys = CmpSystem::from_sources(
         cfg.clone(),
         Box::new(AsccConfig::ascc(2, cfg.l2.sets(), cfg.l2.ways()).build()),
         mk(),
     );
-    let ascc = ascc_sys.run(400_000, 100_000);
+    let ascc = ascc_sys.run_batched(400_000, 100_000);
     let base_hits: u64 = base.cores.iter().map(|c| c.l2_local_hits).sum();
     let ascc_hits: u64 = ascc.cores.iter().map(|c| c.l2_local_hits).sum();
     assert!(
@@ -108,7 +108,7 @@ fn avgcc_adapts_granularity_during_a_real_run() {
     avgcc.epoch_accesses = 5_000; // downscaled epochs for a downscaled run
     let mut sys =
         CmpSystem::from_sources(cfg.clone(), Box::new(avgcc.build()), hungry_plus_idle(&cfg));
-    sys.run(400_000, 100_000);
+    sys.run_batched(400_000, 100_000);
     let snap = sys.policy().snapshot();
     assert_eq!(snap.ab_consistent, Some(true), "A/B counters diverged");
     assert!(
@@ -150,7 +150,7 @@ fn qos_avgcc_limits_degradation_on_hostile_mixes() {
     let ways = cfg.l2.ways();
     let run = |policy: Box<dyn cmp_cache::LlcPolicy>| {
         let mut sys = CmpSystem::from_sources(cfg.clone(), policy, mk());
-        sys.run(300_000, 80_000)
+        sys.run_batched(300_000, 80_000)
     };
     let base = run(Box::new(PrivateBaseline::new()));
     let mut qcfg = AvgccConfig::qos_avgcc(2, sets, ways);

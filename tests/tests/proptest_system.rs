@@ -88,7 +88,7 @@ proptest! {
         let policy = all_policies(&cfg).swap_remove(policy_idx);
         let workloads = vec![build(0, &s0, seed), build(1, &s1, seed ^ 1)];
         let mut sys = CmpSystem::from_sources(cfg, policy, workloads);
-        let r = sys.run(60_000, 15_000);
+        let r = sys.run_batched(60_000, 15_000);
         sys.assert_inclusive();
         assert_coherent(sys.l2s());
         for c in &r.cores {

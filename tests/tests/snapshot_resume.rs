@@ -72,7 +72,7 @@ fn assert_resume_identical(
     resumed
         .restore(&mid)
         .unwrap_or_else(|e| panic!("{name}: restore: {e}"));
-    let resumed_result = resumed.run(INSTRS, WARMUP);
+    let resumed_result = resumed.run_batched(INSTRS, WARMUP);
     assert_eq!(
         resumed_result, straight_result,
         "{name}: RunResult diverged after mid-run restore"
@@ -145,7 +145,7 @@ fn avgcc_mid_epoch_resume_preserves_granularity_state() {
         changes,
         "restored change count"
     );
-    let resumed_result = resumed.run(INSTRS, WARMUP);
+    let resumed_result = resumed.run_batched(INSTRS, WARMUP);
     assert_eq!(resumed_result, straight_result);
     assert_eq!(resumed.snapshot(), straight_end);
 }
@@ -188,7 +188,7 @@ fn qos_avgcc_resume_preserves_inhibition_state() {
     let mut resumed = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, SEED));
     resumed.restore(&snap).expect("restore QoS-AVGCC snapshot");
     assert_eq!(ratios(&resumed), r, "restored QoS ratios");
-    let resumed_result = resumed.run(INSTRS, WARMUP);
+    let resumed_result = resumed.run_batched(INSTRS, WARMUP);
     assert_eq!(resumed_result, straight_result);
     assert_eq!(resumed.snapshot(), straight_end);
 }
@@ -213,7 +213,7 @@ fn fabrics_resume_bit_identically_and_reject_cross_restore() {
     assert_resume_identical("directory fabric", build(), build(), 7_777);
 
     let mut donor = build();
-    donor.run(2_000, 500);
+    donor.run_batched(2_000, 500);
     let mut snap = donor.snapshot();
     // Envelope: 8-byte magic, u16 version; then the fingerprint section's
     // tag byte and u64 payload length. The fabric byte ends the payload.
@@ -288,7 +288,7 @@ fn arc_resume_preserves_ghost_lists_and_p_targets() {
     let (rs, rh) = arc_state(&resumed);
     assert_eq!(rs, per_set, "restored per-set p / T2 / ghost-list order");
     assert_eq!(rh, hits, "restored ghost-hit counters");
-    let resumed_result = resumed.run(INSTRS, WARMUP);
+    let resumed_result = resumed.run_batched(INSTRS, WARMUP);
     assert_eq!(resumed_result, straight_result);
     assert_eq!(resumed.snapshot(), straight_end);
 }
@@ -343,7 +343,7 @@ fn tinylfu_resume_preserves_sketch_and_reset_epoch() {
         st,
         "restored sketch / doorkeeper / window / epoch state"
     );
-    let resumed_result = resumed.run(INSTRS, WARMUP);
+    let resumed_result = resumed.run_batched(INSTRS, WARMUP);
     assert_eq!(resumed_result, straight_result);
     assert_eq!(resumed.snapshot(), straight_end);
 }
@@ -395,7 +395,7 @@ fn rdcb_resume_preserves_predictor_and_clocks() {
     let mut resumed = CmpSystem::from_sources(cfg.clone(), build(), mix_sources(mix, SEED));
     resumed.restore(&snap).expect("restore RD-CB snapshot");
     assert_eq!(rdcb_state(&resumed), st, "restored predictor rows / clocks");
-    let resumed_result = resumed.run(INSTRS, WARMUP);
+    let resumed_result = resumed.run_batched(INSTRS, WARMUP);
     assert_eq!(resumed_result, straight_result);
     assert_eq!(resumed.snapshot(), straight_end);
 }

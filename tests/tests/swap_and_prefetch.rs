@@ -44,7 +44,7 @@ fn swap_keeps_last_copies_on_chip() {
                 loop_workload("idle", 1 << 40, 4 << 10),
             ],
         );
-        sys.run(400_000, 100_000)
+        sys.run_batched(400_000, 100_000)
     };
     let with_swap = run(true);
     let without = run(false);
@@ -71,7 +71,7 @@ fn prefetcher_reduces_stream_memory_stalls() {
             Box::new(PrivateBaseline::new()),
             vec![loop_workload("stream", 0, 32 << 20)],
         );
-        sys.run(300_000, 50_000)
+        sys.run_batched(300_000, 50_000)
     };
     let without = run(None);
     let with_pf = run(Some(PrefetchConfig::default()));
@@ -102,7 +102,7 @@ fn prefetcher_leaves_random_traffic_alone() {
         cfg.prefetch = pf;
         let mut sys =
             CmpSystem::from_sources(cfg.clone(), Box::new(PrivateBaseline::new()), vec![mk()]);
-        sys.run(200_000, 50_000)
+        sys.run_batched(200_000, 50_000)
     };
     let without = run(None);
     let with_pf = run(Some(PrefetchConfig::default()));
@@ -134,7 +134,7 @@ fn swap_respects_replication_mode() {
         Box::new(AsccConfig::ascc(2, sets, ways).build()),
         vec![shared(), shared()],
     );
-    let r = sys.run(150_000, 30_000);
+    let r = sys.run_batched(150_000, 30_000);
     assert_eq!(r.swaps, 0, "read sharing must not trigger swaps");
     // Both cores replicate the shared loop: remote hits happen only while
     // establishing the copies, then both hit locally.

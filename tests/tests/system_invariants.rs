@@ -14,7 +14,7 @@ fn inclusion_and_coherence_hold_under_every_policy() {
     for policy in all_policies(&cfg) {
         let name = policy.name().to_string();
         let mut sys = CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(mix, 7));
-        sys.run(120_000, 30_000);
+        sys.run_batched(120_000, 30_000);
         sys.assert_inclusive();
         assert_coherent(sys.l2s());
         drop(name);
@@ -29,7 +29,7 @@ fn multiprogrammed_lines_have_at_most_one_copy() {
     let mix = &two_app_mixes()[0];
     for policy in all_policies(&cfg) {
         let mut sys = CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(mix, 3));
-        let r = sys.run(150_000, 30_000);
+        let r = sys.run_batched(150_000, 30_000);
         let mut seen = std::collections::HashSet::new();
         for cache in sys.l2s() {
             for s in 0..cache.geometry().sets() {
@@ -53,7 +53,7 @@ fn multithreaded_runs_stay_coherent_under_every_policy() {
     for policy in all_policies(&cfg) {
         let workloads = ParallelBench::Lu.workloads(4, 11);
         let mut sys = CmpSystem::from_sources(cfg.clone(), policy, workloads);
-        let r = sys.run(100_000, 25_000);
+        let r = sys.run_batched(100_000, 25_000);
         sys.assert_inclusive();
         assert_coherent(sys.l2s());
         assert!(r.cores.iter().all(|c| c.instrs >= 100_000), "{}", r.policy);
@@ -67,7 +67,7 @@ fn prefetcher_keeps_invariants() {
     for policy in all_policies(&cfg) {
         let mut sys =
             CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(&two_app_mixes()[1], 5));
-        sys.run(100_000, 25_000);
+        sys.run_batched(100_000, 25_000);
         sys.assert_inclusive();
         assert_coherent(sys.l2s());
     }
@@ -79,7 +79,7 @@ fn counters_are_self_consistent() {
     for policy in all_policies(&cfg) {
         let mut sys =
             CmpSystem::from_sources(cfg.clone(), policy, mix_workloads(&two_app_mixes()[3], 9));
-        let r = sys.run(150_000, 30_000);
+        let r = sys.run_batched(150_000, 30_000);
         for c in &r.cores {
             assert_eq!(
                 c.l2_accesses,

@@ -118,13 +118,13 @@ fn tenant_arena_replay_matches_streaming_generation() {
             ascc_policy(&cfg),
             tenant_sources(s, cfg.cores, SEED),
         )
-        .run(INSTRS, WARMUP);
+        .run_batched(INSTRS, WARMUP);
         let streamed = CmpSystem::from_sources(
             cfg.clone(),
             ascc_policy(&cfg),
             (0..cfg.cores).map(|c| s.workload(cfg.cores, c, SEED)),
         )
-        .run(INSTRS, WARMUP);
+        .run_batched(INSTRS, WARMUP);
         assert_eq!(replayed, streamed, "{s}: arena replay diverged");
     }
 }
@@ -206,7 +206,7 @@ fn tenant_churn_state_survives_snapshot_resume() {
 
     let mut resumed = build();
     resumed.restore(&mid).expect("restore churny snapshot");
-    let resumed_result = resumed.run(INSTRS, WARMUP);
+    let resumed_result = resumed.run_batched(INSTRS, WARMUP);
     assert_eq!(
         resumed_result, straight_result,
         "RunResult diverged after mid-run restore across churn events"
