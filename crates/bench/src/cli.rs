@@ -6,7 +6,7 @@
 //! parse identically everywhere (`--flag value` and `--flag=value` both
 //! accepted, unknown flags die with usage on stderr and exit 2) and
 //! `--help` is generated — flag list first, then the
-//! [`RunConfig`](crate::RunConfig) flag/env/JSON table so the environment
+//! [`RunConfig`] flag/env/JSON table so the environment
 //! compatibility layer is documented in every binary, not just the README.
 //!
 //! Diagnostics (usage errors, "no experiment matches" listings) go to
@@ -169,7 +169,7 @@ impl Cli {
     }
 
     /// Parses `args` (without the program name). `Err` is a diagnostic
-    /// for stderr; `--help` is reported as a special error so [`parse`]
+    /// for stderr; `--help` is reported as a special error so [`parse`](Self::parse)
     /// can print to stdout and exit 0.
     pub fn try_parse(&self, args: &[String]) -> Result<Parsed, String> {
         let mut out = Parsed::default();

@@ -53,7 +53,8 @@ fn find_way(tags: &[u64], raw: u64) -> Option<usize> {
 /// The cache is a *passive* model: it answers lookups, performs fills into a
 /// victim way chosen by the caller (usually through an [`crate::LlcPolicy`])
 /// and reports evictions. All timing, coherence and spill orchestration live
-/// above it in `cmp-sim`. See the [module docs](self) for the storage layout.
+/// above it in `cmp-sim`. See the module docs of `cache.rs` for the storage
+/// layout.
 ///
 /// # Examples
 ///

@@ -108,7 +108,7 @@ impl ArcConfig {
 }
 
 /// Per-set ARC with T1/T2 membership bits, B1/B2 ghost lists and the
-/// adaptive target `p` (see the [module docs](self)).
+/// adaptive target `p` (see the module docs of `arc.rs`).
 #[derive(Debug)]
 pub struct ArcPolicy {
     cfg: ArcConfig,

@@ -87,7 +87,7 @@ impl RdcbConfig {
 }
 
 /// Reuse-distance clean-line copy-back layered over ASCC (see the
-/// [module docs](self)).
+/// module docs of `rdcb.rs`).
 #[derive(Debug)]
 pub struct RdcbPolicy {
     cfg: RdcbConfig,

@@ -123,7 +123,7 @@ impl TinyLfuConfig {
 }
 
 /// A TinyLFU admission filter wrapped around an eviction policy (see the
-/// [module docs](self)).
+/// module docs of `tinylfu.rs`).
 pub struct TinyLfuPolicy {
     cfg: TinyLfuConfig,
     name: String,

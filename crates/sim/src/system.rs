@@ -117,7 +117,7 @@ impl DrainCore {
 
 /// Refills a core's cached chunk run: syncs the feed cursor past the
 /// consumed prefix of the old run, then caches the next one. The old run
-/// is let go of first, so a private cursor refills its chunk in place.
+/// is let go of first, so a private cursor's buffer is refilled in place.
 fn refresh_chunk(d: &mut DrainCore, feed: &mut AccessFeed) {
     feed.advance(d.pos - d.committed);
     d.chunk = TraceChunk::empty();
@@ -368,7 +368,7 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// ahead on L1 hits, a single access where many cores interleave
     /// closely. Most drains are one access even at 2 cores, so a drain
     /// costs no more than a pick: the per-access header math runs in place
-    /// on the core's dense [`HotCore`] (one reciprocal hoists the
+    /// on the core's dense `HotCore` (one reciprocal hoists the
     /// `mem_fraction` divide), with nothing copied in or out per drain.
     /// Accesses come straight out of the chunk's SoA arrays, and the
     /// upcoming addresses and stream ids are prefetched

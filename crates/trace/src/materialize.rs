@@ -31,27 +31,47 @@
 //!
 //! Every simulated core reads from a chunk. A cursor over a shared trace
 //! walks the arena's chunks; past the budget, and for live generators
-//! ([`TraceCursor::private`]), it reads ahead one small private chunk
-//! (4 Ki accesses) that it refills in place. Both yield the
-//! stream's exact access sequence, so the budget changes memory use and
-//! never results.
+//! ([`TraceCursor::private`]), it reads small private chunks (4 Ki
+//! accesses) from its own generator. Both yield the stream's exact access
+//! sequence, so the budget changes memory use and never results.
+//!
+//! ## Read-ahead
+//!
+//! A private cursor owns two chunk buffers: the one being read and the one
+//! being filled. The filling runs on one process-wide thread,
+//! `trace-readahead`, started by the first private refill, so the
+//! simulation thread mostly replays. When the reader finishes a chunk it
+//! takes the filled buffer and queues the consumed one, together with the
+//! generator, as the next fill. A fill the worker has not started yet is
+//! taken back and run on the reader (steal-back), so the reader only ever
+//! waits for a fill already running. Many readers, a busy host or a single
+//! CPU therefore need no setting: the worker takes what it can and the
+//! readers do the rest. On Linux the worker runs at nice 19, so it uses the
+//! CPU time the simulation threads leave idle: when a parallel sweep keeps
+//! every CPU busy, the readers take most fills back. A generator that
+//! panics on the worker has its panic re-raised on the reading thread; the
+//! worker lives on. Streams are pure per core and each is generated in
+//! order by whichever thread holds it, so read-ahead never changes an
+//! access.
 
 use crate::access::{Access, AccessStream};
 use crate::spec::{CoreWorkload, CpuModel, SpecBench};
 use crate::tenant::TenantScenario;
 use cmp_cache::{AccessKind, Addr};
-use std::collections::HashMap;
+use std::any::Any;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError, RwLock};
 
 /// Accesses per materialized chunk (64 Ki): large enough that the
 /// chunk-boundary bookkeeping vanishes, small enough that lazy growth
 /// tracks the longest-running job without much overshoot.
 pub const CHUNK_ACCESSES: usize = 1 << 16;
 
-/// Accesses per private chunk (4 Ki, ~41 kB): small enough that one per
-/// simulated core barely moves peak memory, large enough that the refill
-/// call vanishes against generating the accesses.
+/// Accesses per private chunk (4 Ki, ~41 kB): small enough that two per
+/// simulated core barely move peak memory, large enough that handing a
+/// fill to the read-ahead worker vanishes against generating it.
 const PRIVATE_CHUNK_ACCESSES: usize = 1 << 12;
 
 /// Accesses ahead whose byte address [`TraceChunk::prefetch`] pulls in:
@@ -76,13 +96,18 @@ pub struct TraceChunk {
 impl TraceChunk {
     /// Materializes the next `n` accesses of `stream`.
     fn from_stream(stream: &mut dyn AccessStream, n: usize) -> Self {
-        let mut c = TraceChunk {
+        let mut c = TraceChunk::zeroed(n);
+        c.refill(stream);
+        c
+    }
+
+    /// A chunk of `n` accesses, all zero: a buffer to fill.
+    fn zeroed(n: usize) -> Self {
+        TraceChunk {
             addrs: vec![0; n].into_boxed_slice(),
             streams: vec![0; n].into_boxed_slice(),
             stores: vec![0; n.div_ceil(64)].into_boxed_slice(),
-        };
-        c.refill(stream);
-        c
+        }
     }
 
     /// Overwrites the chunk with the next `len()` accesses of `stream`.
@@ -379,16 +404,212 @@ enum Source {
         next: usize,
     },
     /// A private generator, read ahead one chunk at a time.
-    Private(Box<dyn AccessStream>),
+    Private(Arc<Fill>),
 }
+
+/// The buffer for a private cursor's next fill: `spent` when nothing else
+/// holds it, else a new one (a cursor's first two buffers, or a chunk a
+/// caller of [`TraceCursor::run_slice`] still holds). Only the reader calls
+/// this, so every private buffer is allocated on the reading thread, at
+/// the first read at the earliest, and the worker never allocates.
+fn spare(mut spent: Arc<TraceChunk>) -> Arc<TraceChunk> {
+    match Arc::get_mut(&mut spent) {
+        Some(c) if c.len() == PRIVATE_CHUNK_ACCESSES => spent,
+        _ => Arc::new(TraceChunk::zeroed(PRIVATE_CHUNK_ACCESSES)),
+    }
+}
+
+/// Fills `buf`, a [`spare`] buffer, in place with the next chunk of `gen`.
+fn fill(gen: &mut dyn AccessStream, mut buf: Arc<TraceChunk>) -> Arc<TraceChunk> {
+    Arc::get_mut(&mut buf)
+        .expect("a spare buffer is unshared")
+        .refill(gen);
+    buf
+}
+
+/// A private cursor's next chunk, shared by the cursor and the read-ahead
+/// worker.
+struct Fill {
+    slot: Mutex<FillSlot>,
+    /// Signalled when a running fill ends.
+    done: Condvar,
+}
+
+struct FillSlot {
+    stage: Stage,
+    /// In the worker's queue. A fill is queued at most once, so the queue
+    /// never holds more entries than there are live cursors.
+    queued: bool,
+}
+
+/// Where a private cursor's next chunk stands.
+enum Stage {
+    /// Waiting for the worker: the generator and the buffer to fill with
+    /// its next chunk.
+    Pending(Box<dyn AccessStream>, Arc<TraceChunk>),
+    /// The worker is filling it.
+    Running,
+    /// Filled: the generator, one chunk further on, and the chunk.
+    Ready(Box<dyn AccessStream>, Arc<TraceChunk>),
+    /// The generator panicked on the worker; the payload waits for the
+    /// reader to re-raise it.
+    Panicked(Box<dyn Any + Send>),
+    /// Nothing to take: the reader holds the generator, or it is lost to
+    /// a panic, or the cursor is gone.
+    Gone,
+}
+
+impl Fill {
+    /// A fill of `gen`'s first chunk, not yet queued and with no buffer
+    /// yet: the first refill takes it back and runs it, so the worker
+    /// starts on the second.
+    fn new(gen: Box<dyn AccessStream>) -> Arc<Fill> {
+        Arc::new(Fill {
+            slot: Mutex::new(FillSlot {
+                stage: Stage::Pending(gen, TraceChunk::empty()),
+                queued: false,
+            }),
+            done: Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, FillSlot> {
+        self.slot.lock().expect("unpoisoned")
+    }
+
+    /// The reader's side: the next chunk, filled by the worker or, when
+    /// the worker has not started on it, here. Queues `spent`, the chunk
+    /// just consumed, as the fill after it.
+    fn next(self: &Arc<Self>, spent: Arc<TraceChunk>) -> Arc<TraceChunk> {
+        let spent = spare(spent);
+        let mut slot = self.lock();
+        let (gen, chunk) = loop {
+            match std::mem::replace(&mut slot.stage, Stage::Gone) {
+                Stage::Ready(gen, chunk) => break (gen, chunk),
+                Stage::Pending(mut gen, buf) => {
+                    drop(slot);
+                    let chunk = fill(gen.as_mut(), spare(buf));
+                    slot = self.lock();
+                    break (gen, chunk);
+                }
+                Stage::Running => {
+                    slot.stage = Stage::Running;
+                    slot = self.done.wait(slot).expect("unpoisoned");
+                }
+                Stage::Panicked(payload) => {
+                    drop(slot);
+                    panic::resume_unwind(payload);
+                }
+                Stage::Gone => panic!("the trace generator panicked on an earlier read"),
+            }
+        };
+        slot.stage = Stage::Pending(gen, spent);
+        let enqueue = !std::mem::replace(&mut slot.queued, true);
+        drop(slot);
+        if enqueue {
+            ReadAhead::push(self.clone());
+        }
+        chunk
+    }
+
+    /// The worker's side: runs the fill if it is still pending.
+    fn run(&self) {
+        let mut slot = self.lock();
+        slot.queued = false;
+        let (mut gen, buf) = match std::mem::replace(&mut slot.stage, Stage::Running) {
+            Stage::Pending(gen, buf) => (gen, buf),
+            other => {
+                slot.stage = other;
+                return;
+            }
+        };
+        drop(slot);
+        let stage = match panic::catch_unwind(AssertUnwindSafe(|| fill(gen.as_mut(), buf))) {
+            Ok(chunk) => Stage::Ready(gen, chunk),
+            Err(payload) => Stage::Panicked(payload),
+        };
+        self.lock().stage = stage;
+        self.done.notify_one();
+    }
+}
+
+/// The process's one read-ahead worker: a queue of fills, drained by the
+/// thread `trace-readahead`.
+struct ReadAhead {
+    queue: Mutex<VecDeque<Arc<Fill>>>,
+    ready: Condvar,
+}
+
+static READ_AHEAD: ReadAhead = ReadAhead {
+    queue: Mutex::new(VecDeque::new()),
+    ready: Condvar::new(),
+};
+
+impl ReadAhead {
+    /// Queues `fill` for the worker, starting the worker on first use.
+    /// The worker lives as long as the process and is never joined: each
+    /// fill runs under `catch_unwind`, so no generator can end it.
+    fn push(fill: Arc<Fill>) {
+        static START: Once = Once::new();
+        START.call_once(|| {
+            std::thread::Builder::new()
+                .name("trace-readahead".into())
+                .spawn(|| READ_AHEAD.work())
+                .expect("spawn the trace read-ahead thread");
+        });
+        READ_AHEAD.queue.lock().expect("unpoisoned").push_back(fill);
+        READ_AHEAD.ready.notify_one();
+    }
+
+    fn work(&self) {
+        lowest_priority();
+        loop {
+            let fill = {
+                let mut queue = self.queue.lock().expect("unpoisoned");
+                loop {
+                    match queue.pop_front() {
+                        Some(fill) => break fill,
+                        None => queue = self.ready.wait(queue).expect("unpoisoned"),
+                    }
+                }
+            };
+            fill.run();
+        }
+    }
+}
+
+/// Gives the calling thread the lowest priority, nice 19. The worker then
+/// runs on CPU time the simulation threads leave idle: when every CPU runs
+/// a simulation thread, the readers find their fills not yet started and
+/// take them back, instead of trading CPUs with the worker. It keeps a
+/// small share of the CPU, so a fill it has started always ends. On Linux
+/// a thread's nice value is its own. Best effort: where the call fails,
+/// the worker keeps the default priority.
+#[cfg(target_os = "linux")]
+fn lowest_priority() {
+    extern "C" {
+        fn setpriority(which: i32, who: u32, prio: i32) -> i32;
+    }
+    /// `PRIO_PROCESS` of `<sys/resource.h>`; `who` 0 names the calling
+    /// thread.
+    const PRIO_PROCESS: i32 = 0;
+    // SAFETY: `setpriority` takes three integers and touches no memory of
+    // this process.
+    let _ = unsafe { setpriority(PRIO_PROCESS, 0, 19) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn lowest_priority() {}
 
 /// Batched replay: the hot path is a bounds check and three indexed loads
 /// from the current chunk's SoA arrays — no virtual dispatch, no RNG.
 ///
 /// The chunks come from a [`SharedTrace`] or, for a live generator and
-/// past the arena budget, from one private 4 Ki-access chunk the cursor
-/// refills in place once every reader has let go of it.
-/// Read-ahead is safe because streams never end and are pure per core.
+/// past the arena budget, from two private 4 Ki-access buffers: the
+/// process's read-ahead thread, `trace-readahead`, fills one while the
+/// cursor reads the other, and the cursor fills it itself when the thread
+/// has not started yet. Read-ahead is safe because streams never end and
+/// are pure per core. Dropping a cursor never waits for a fill.
 pub struct TraceCursor {
     source: Source,
     /// The current chunk; empty until the first read.
@@ -411,10 +632,11 @@ impl std::fmt::Debug for TraceCursor {
 }
 
 impl TraceCursor {
-    /// A cursor over a live generator: it reads `stream` ahead into a
-    /// private chunk, filled on the first read.
+    /// A cursor over a live generator: the first read fills a private
+    /// chunk of `stream`, and the read-ahead thread fills the next one
+    /// while this one is read.
     pub fn private(stream: Box<dyn AccessStream>) -> Self {
-        TraceCursor::over(Source::Private(stream))
+        TraceCursor::over(Source::Private(Fill::new(stream)))
     }
 
     fn over(source: Source) -> Self {
@@ -438,9 +660,10 @@ impl TraceCursor {
     }
 
     /// Loads the next chunk once the current one is consumed: the next
-    /// shared chunk, or else a refill of the private one. When the arena
-    /// refuses to grow, the cursor rebuilds the stream from its factory,
-    /// discards the prefix it already replayed, and reads on privately.
+    /// shared chunk, or else the next private one, handing the consumed
+    /// buffer back for filling. When the arena refuses to grow, the cursor
+    /// rebuilds the stream from its factory, discards the prefix it
+    /// already replayed, and reads on privately.
     #[cold]
     fn refill(&mut self) {
         if let Source::Shared { trace, next } = &mut self.source {
@@ -454,16 +677,11 @@ impl TraceCursor {
             for _ in 0..*next * trace.chunk_accesses {
                 s.next_access();
             }
-            self.source = Source::Private(s);
+            self.source = Source::Private(Fill::new(s));
         }
-        if let Source::Private(s) = &mut self.source {
-            match Arc::get_mut(&mut self.chunk) {
-                Some(c) if c.len() == PRIVATE_CHUNK_ACCESSES => c.refill(s.as_mut()),
-                _ => {
-                    self.chunk =
-                        Arc::new(TraceChunk::from_stream(s.as_mut(), PRIVATE_CHUNK_ACCESSES));
-                }
-            }
+        if let Source::Private(fill) = &self.source {
+            let spent = std::mem::replace(&mut self.chunk, TraceChunk::empty());
+            self.chunk = fill.next(spent);
         }
         self.pos = 0;
     }
@@ -477,9 +695,9 @@ impl TraceCursor {
     /// Always `Some`: every cursor reads from a chunk. The `Option` stays
     /// for callers written against the type.
     ///
-    /// A private chunk is refilled in place only once the caller has
-    /// dropped the `Arc` this returned; while it is held, the refill
-    /// allocates a new chunk instead.
+    /// A private buffer is refilled in place only once the caller has
+    /// dropped the `Arc` this returned; while it is held, its next fill
+    /// allocates a new buffer instead.
     pub fn run_slice(&mut self) -> Option<(Arc<TraceChunk>, usize)> {
         if self.pos == self.chunk.len() {
             self.refill();
@@ -521,6 +739,21 @@ impl TraceCursor {
 impl AccessStream for TraceCursor {
     fn next_access(&mut self) -> Access {
         TraceCursor::next_access(self)
+    }
+}
+
+impl Drop for TraceCursor {
+    /// Cancels a fill the worker has not started. A running one is not
+    /// waited for: the worker drops it when it ends.
+    fn drop(&mut self) {
+        if let Source::Private(fill) = &self.source {
+            // Every update of a slot is one assignment, so even a poisoned
+            // slot holds a valid stage.
+            let mut slot = fill.slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let stage = std::mem::replace(&mut slot.stage, Stage::Gone);
+            drop(slot);
+            drop(stage);
+        }
     }
 }
 
@@ -700,16 +933,67 @@ mod tests {
     /// A deliberately layered stream (zipf + chase + stores) so replay has
     /// to reproduce RNG-driven kinds, addresses and stream ids exactly.
     fn layered() -> Box<dyn AccessStream> {
-        let z = ZipfStream::new(0, 128, 32, 0.9, 11, 0);
-        let c = ChaseStream::new(1 << 24, 64, 32, 12, 1);
+        layered_seeded(11)
+    }
+
+    /// [`layered`] with its RNGs drawn from `seed`.
+    fn layered_seeded(seed: u64) -> Box<dyn AccessStream> {
+        let z = ZipfStream::new(0, 128, 32, 0.9, seed, 0);
+        let c = ChaseStream::new(1 << 24, 64, 32, seed + 1, 1);
         Box::new(Mixture::new(
             vec![
                 (0.6, Box::new(z) as Box<dyn AccessStream>),
                 (0.4, Box::new(c)),
             ],
             0.25,
-            13,
+            seed + 2,
         ))
+    }
+
+    /// [`layered`], telling `on_worker` once when the read-ahead thread
+    /// first generates it, and panicking after `left` accesses when `left`
+    /// is set.
+    struct Tapped {
+        inner: Box<dyn AccessStream>,
+        left: Option<usize>,
+        on_worker: Option<std::sync::mpsc::Sender<()>>,
+    }
+
+    impl Tapped {
+        /// The stream, and the receiver its worker signal arrives on.
+        fn boxed(left: Option<usize>) -> (Box<dyn AccessStream>, std::sync::mpsc::Receiver<()>) {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let stream = Tapped {
+                inner: layered(),
+                left,
+                on_worker: Some(tx),
+            };
+            (Box::new(stream), rx)
+        }
+    }
+
+    impl AccessStream for Tapped {
+        fn next_access(&mut self) -> Access {
+            if std::thread::current().name() == Some("trace-readahead") {
+                if let Some(tx) = self.on_worker.take() {
+                    let _ = tx.send(());
+                }
+            }
+            if let Some(left) = &mut self.left {
+                if *left == 0 {
+                    panic!("tapped stream ran dry");
+                }
+                *left -= 1;
+            }
+            self.inner.next_access()
+        }
+    }
+
+    /// Reads `n` accesses of `cursor`, checking each against `reference`.
+    fn read_exact(cursor: &mut TraceCursor, reference: &mut dyn AccessStream, n: usize) {
+        for i in 0..n {
+            assert_eq!(cursor.next_access(), reference.next_access(), "access {i}");
+        }
     }
 
     #[test]
@@ -949,32 +1233,136 @@ mod tests {
     }
 
     #[test]
-    fn private_cursor_refills_one_chunk_in_place() {
+    fn private_cursor_alternates_two_buffers() {
         let mut cursor = TraceCursor::private(layered());
         let mut stream = layered();
-        let (first, _) = cursor.run_slice().expect("always a slice");
-        let ptr = Arc::as_ptr(&first);
-        drop(first);
-        for i in 0..3 * PRIVATE_CHUNK_ACCESSES + 7 {
-            assert_eq!(cursor.next_access(), stream.next_access(), "access {i}");
+        let mut next_chunk = |cursor: &mut TraceCursor| {
+            let (chunk, pos) = cursor.run_slice().expect("always a slice");
+            assert_eq!((chunk.len(), pos), (PRIVATE_CHUNK_ACCESSES, 0));
+            for i in 0..chunk.len() {
+                assert_eq!(chunk.get(i), stream.next_access(), "access {i}");
+            }
+            cursor.advance(chunk.len());
+            chunk
+        };
+        // Unheld buffers are refilled in place: the chunks' address arrays
+        // alternate between the cursor's two buffers.
+        let ptrs: Vec<*const u64> = (0..6)
+            .map(|_| next_chunk(&mut cursor).addrs().as_ptr())
+            .collect();
+        assert_ne!(ptrs[0], ptrs[1], "two buffers");
+        for i in 2..ptrs.len() {
+            assert_eq!(
+                ptrs[i],
+                ptrs[i - 2],
+                "chunk {i} reuses chunk {}'s buffer",
+                i - 2
+            );
         }
-        let (chunk, pos) = cursor.run_slice().expect("always a slice");
-        assert_eq!((chunk.len(), pos), (PRIVATE_CHUNK_ACCESSES, 7));
-        assert_eq!(Arc::as_ptr(&chunk), ptr, "unheld chunk refilled in place");
-        // A held chunk is left alone: the refill allocates a new one, and
-        // the held slice keeps its accesses.
+        // A held chunk is left alone: its next fill goes to a new buffer,
+        // and the held slice keeps its accesses.
+        let chunk = next_chunk(&mut cursor);
         let held: Vec<u64> = chunk.addrs().to_vec();
-        cursor.advance(PRIVATE_CHUNK_ACCESSES - 7);
-        for _ in 7..PRIVATE_CHUNK_ACCESSES {
-            stream.next_access();
-        }
-        let (next, pos) = cursor.run_slice().expect("always a slice");
-        assert_eq!(pos, 0);
-        assert!(!Arc::ptr_eq(&next, &chunk));
+        let after = next_chunk(&mut cursor);
+        drop(after);
+        let refilled = next_chunk(&mut cursor);
+        assert_ne!(refilled.addrs().as_ptr(), chunk.addrs().as_ptr());
         assert_eq!(chunk.addrs(), &held[..]);
-        for i in 0..10 {
-            assert_eq!(next.get(i), stream.next_access(), "access {i}");
+    }
+
+    #[test]
+    fn worker_panic_reraises_on_the_reader_and_the_worker_lives_on() {
+        let wait = std::time::Duration::from_secs(60);
+        // The first chunk is filled on the reader. Reading all of it
+        // queues the second, which panics 10 accesses in; once the worker
+        // has started it, the reader can no longer take it back.
+        let (stream, on_worker) = Tapped::boxed(Some(PRIVATE_CHUNK_ACCESSES + 10));
+        let mut cursor = TraceCursor::private(stream);
+        read_exact(&mut cursor, layered().as_mut(), PRIVATE_CHUNK_ACCESSES);
+        on_worker
+            .recv_timeout(wait)
+            .expect("the worker takes the fill");
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| cursor.next_access()))
+            .expect_err("the worker's panic reaches the reader");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"tapped stream ran dry")
+        );
+        // The worker lives on: it fills a fresh cursor's second chunk, and
+        // the cursor replays exactly.
+        let (stream, on_worker) = Tapped::boxed(None);
+        let mut cursor = TraceCursor::private(stream);
+        let mut reference = layered();
+        read_exact(&mut cursor, reference.as_mut(), PRIVATE_CHUNK_ACCESSES);
+        on_worker
+            .recv_timeout(wait)
+            .expect("the worker still fills");
+        read_exact(&mut cursor, reference.as_mut(), 2 * PRIVATE_CHUNK_ACCESSES);
+    }
+
+    #[test]
+    fn many_readers_with_early_drops_stay_exact() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::mpsc::RecvTimeoutError;
+        let (done, finished) = std::sync::mpsc::channel();
+        let readers: Vec<_> = (0..8u64)
+            .map(|t| {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(t);
+                    let open = |k: u64| {
+                        let seed = 100 * t + k;
+                        (
+                            TraceCursor::private(layered_seeded(seed)),
+                            layered_seeded(seed),
+                        )
+                    };
+                    let mut cursors: Vec<_> = (0..4).map(open).collect();
+                    for round in 0..64u64 {
+                        let k = rng.gen_range(0..cursors.len());
+                        let (cursor, reference) = &mut cursors[k];
+                        let n = rng.gen_range(0..2 * PRIVATE_CHUNK_ACCESSES);
+                        read_exact(cursor, reference.as_mut(), n);
+                        if rng.gen_bool(0.2) {
+                            // Drop mid-chunk, often with a fill queued or
+                            // running.
+                            cursors[k] = open(4 + round);
+                        }
+                    }
+                    let _ = done.send(());
+                })
+            })
+            .collect();
+        drop(done);
+        for _ in 0..readers.len() {
+            match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+                Ok(()) => {}
+                Err(RecvTimeoutError::Timeout) => panic!("a reader hung"),
+                // A reader panicked; joining it below reports why.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
         }
+        for r in readers {
+            r.join().expect("every reader reads its exact sequence");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn one_read_ahead_thread_serves_every_cursor() {
+        let mut cursors: Vec<TraceCursor> = (0..64)
+            .map(|k| TraceCursor::private(layered_seeded(k)))
+            .collect();
+        for c in &mut cursors {
+            c.fast_forward(PRIVATE_CHUNK_ACCESSES as u64 + 1);
+        }
+        let workers = std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == "trace-readahead")
+            .count();
+        assert_eq!(workers, 1);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! Little-endian binary: the 8-byte magic `ASCCTRC1`, a `u64` access count,
 //! then per access a `u64` byte address, a `u8` kind (0 load / 1 store) and
-//! a `u16` stream id.
+//! a `u16` stream id. Nothing follows the last record: a reader rejects
+//! trailing bytes, so a corrupted count never loads as a shorter trace.
 
 use crate::access::{Access, AccessStream};
 use cmp_cache::{AccessKind, Addr};
@@ -31,6 +32,8 @@ pub enum TraceError {
     BadMagic,
     /// The payload ended before the declared access count.
     Truncated,
+    /// Bytes follow the last record the header declares.
+    TrailingBytes,
     /// An access kind byte was neither 0 nor 1.
     BadKind(u8),
     /// The trace declares zero accesses (it could not replay).
@@ -44,6 +47,9 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::BadMagic => write!(f, "not an ASCC trace (bad magic)"),
             TraceError::Truncated => write!(f, "trace payload shorter than its header declares"),
+            TraceError::TrailingBytes => {
+                write!(f, "trace payload longer than its header declares")
+            }
             TraceError::BadKind(k) => write!(f, "invalid access kind byte {k}"),
             TraceError::Empty => write!(f, "trace contains no accesses"),
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
@@ -130,8 +136,8 @@ impl RecordedTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] on bad magic, truncation, invalid kinds, an
-    /// empty payload, or I/O failure.
+    /// Returns [`TraceError`] on bad magic, truncation, bytes after the
+    /// declared records, invalid kinds, an empty payload, or I/O failure.
     pub fn read_from<R: Read>(mut r: R) -> Result<Self, TraceError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic).map_err(eof_as_truncated)?;
@@ -161,6 +167,9 @@ impl RecordedTrace {
                 stream,
             });
         }
+        if read_byte(&mut r)? {
+            return Err(TraceError::TrailingBytes);
+        }
         Ok(RecordedTrace { accesses })
     }
 
@@ -187,6 +196,18 @@ impl RecordedTrace {
         ReplayStream {
             trace: self,
             pos: 0,
+        }
+    }
+}
+
+/// `true` if `r` has at least one more byte.
+fn read_byte<R: Read>(r: &mut R) -> Result<bool, TraceError> {
+    let mut byte = [0u8; 1];
+    loop {
+        match r.read(&mut byte) {
+            Ok(n) => return Ok(n > 0),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(TraceError::Io(e)),
         }
     }
 }
@@ -298,6 +319,21 @@ mod tests {
     }
 
     #[test]
+    fn trailing_bytes_rejected() {
+        // A bit flip that shrinks the count must not load a shorter trace.
+        let t = sample();
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).unwrap();
+        buf[8] = 9;
+        let err = RecordedTrace::read_from(&buf[..]).unwrap_err();
+        assert!(matches!(err, TraceError::TrailingBytes), "{err}");
+        buf[8] = 10;
+        buf.push(0);
+        let err = RecordedTrace::read_from(&buf[..]).unwrap_err();
+        assert!(matches!(err, TraceError::TrailingBytes), "{err}");
+    }
+
+    #[test]
     fn bad_kind_rejected() {
         let t = RecordedTrace::from_accesses(vec![Access::load(Addr::new(0), 0)]);
         let mut buf = Vec::new();
@@ -320,6 +356,7 @@ mod tests {
     fn errors_display() {
         assert!(TraceError::BadMagic.to_string().contains("magic"));
         assert!(TraceError::Truncated.to_string().contains("shorter"));
+        assert!(TraceError::TrailingBytes.to_string().contains("longer"));
         assert!(TraceError::BadKind(9).to_string().contains('9'));
     }
 
