@@ -19,11 +19,11 @@
 //! policy (§6).
 
 use cmp_cache::{
-    AccessOutcome, CoreId, CoreSnapshot, LlcPolicy, PolicySnapshot, RoleHistogram, SetIdx,
-    SpillDecision, SpillVictim,
+    pick_receiver, AccessOutcome, CoreId, CoreSnapshot, LlcPolicy, PolicySnapshot, RoleHistogram,
+    SetIdx, SpillDecision, SpillVictim,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Role a cache (or one of its monitor sets) plays under DSR.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,10 +107,11 @@ impl DsrPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if the monitor assignment does not fit: `sets / sdm_sets`
-    /// must be a power of two at least `2 * cores`.
+    /// Panics if `cores` is 0 or above 64, or the monitor assignment does
+    /// not fit: `sets / sdm_sets` must be a power of two at least
+    /// `2 * cores`.
     pub fn new(cfg: DsrConfig) -> Self {
-        assert!(cfg.cores > 0, "need at least one core");
+        assert!(cfg.cores > 0 && cfg.cores <= 64, "1..=64 cores supported");
         assert!(
             cfg.sdm_sets > 0 && cfg.sets.is_multiple_of(cfg.sdm_sets),
             "sdm_sets must divide the set count"
@@ -245,15 +246,13 @@ impl LlcPolicy for DsrPolicy {
         if self.role(from, set) != DsrRole::Spiller {
             return SpillDecision::NotSpiller;
         }
-        let candidates: Vec<CoreId> = (0..self.cfg.cores)
+        let candidates = (0..self.cfg.cores)
             .filter(|&i| i != from.index())
-            .map(|i| CoreId(i as u8))
-            .filter(|&c| self.role(c, set) == DsrRole::Receiver)
-            .collect();
-        match candidates.len() {
-            0 => SpillDecision::NoCandidate,
-            1 => SpillDecision::Spill(candidates[0]),
-            n => SpillDecision::Spill(candidates[self.rng.gen_range(0..n)]),
+            .filter(|&i| self.role(CoreId(i as u8), set) == DsrRole::Receiver)
+            .fold(0u64, |mask, i| mask | 1 << i);
+        match pick_receiver(candidates, &mut self.rng) {
+            Some(to) => SpillDecision::Spill(to),
+            None => SpillDecision::NoCandidate,
         }
     }
 

@@ -17,11 +17,11 @@
 //! floor the ASCC paper criticises in §2.
 
 use cmp_cache::{
-    AccessOutcome, CoreId, CoreSnapshot, FillKind, LlcPolicy, PolicySnapshot, SetIdx, SetRef,
-    SpillDecision, SpillVictim, WayIdx,
+    pick_receiver, AccessOutcome, CoreId, CoreSnapshot, FillKind, LlcPolicy, PolicySnapshot,
+    SetIdx, SetRef, SpillDecision, SpillVictim, WayIdx,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration of an [`EccPolicy`].
 #[derive(Clone, Debug)]
@@ -92,9 +92,10 @@ impl EccPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `cores == 0` or `ways < 2` (both regions need a way).
+    /// Panics if `cores` is 0 or above 64, or `ways < 2` (both regions need
+    /// a way).
     pub fn new(cfg: EccConfig) -> Self {
-        assert!(cfg.cores > 0, "need at least one core");
+        assert!(cfg.cores > 0 && cfg.cores <= 64, "1..=64 cores supported");
         assert!(cfg.ways >= 2, "ECC needs at least one way per region");
         assert!(cfg.epoch_accesses > 0, "epoch must be nonzero");
         EccPolicy {
@@ -220,8 +221,10 @@ impl LlcPolicy for EccPolicy {
             return SpillDecision::NotSpiller;
         }
         // Spill to the peer offering the largest shared region; ties random.
+        // A peer with no shared region ties the initial best of 0, so when
+        // every peer's is empty they are all candidates.
         let mut best = 0u16;
-        let mut candidates: Vec<CoreId> = Vec::new();
+        let mut candidates = 0u64;
         for i in 0..self.cfg.cores {
             if i == from.index() {
                 continue;
@@ -230,17 +233,15 @@ impl LlcPolicy for EccPolicy {
             match sq.cmp(&best) {
                 std::cmp::Ordering::Greater => {
                     best = sq;
-                    candidates.clear();
-                    candidates.push(CoreId(i as u8));
+                    candidates = 1 << i;
                 }
-                std::cmp::Ordering::Equal => candidates.push(CoreId(i as u8)),
+                std::cmp::Ordering::Equal => candidates |= 1 << i,
                 std::cmp::Ordering::Less => {}
             }
         }
-        match candidates.len() {
-            0 => SpillDecision::NoCandidate,
-            1 => SpillDecision::Spill(candidates[0]),
-            n => SpillDecision::Spill(candidates[self.rng.gen_range(0..n)]),
+        match pick_receiver(candidates, &mut self.rng) {
+            Some(to) => SpillDecision::Spill(to),
+            None => SpillDecision::NoCandidate,
         }
     }
 

@@ -65,7 +65,9 @@ pub use mesi::MesiState;
 pub use obs::{
     CoreSnapshot, NullProbe, ObsEvent, ObsProbe, PolicySnapshot, RoleHistogram, VecProbe,
 };
-pub use policy::{AccessOutcome, LlcPolicy, PrivateBaseline, SpillDecision, SpillVictim};
+pub use policy::{
+    pick_receiver, AccessOutcome, LlcPolicy, PrivateBaseline, SpillDecision, SpillVictim,
+};
 pub use prefetch::{PrefetchConfig, StridePrefetcher};
 pub use recency::{RecencyStack, MAX_WAYS};
 pub use set::{CacheLine, CacheSet, SetMut, SetRef};

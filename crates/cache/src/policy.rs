@@ -10,6 +10,7 @@
 use crate::obs::{ObsEvent, PolicySnapshot};
 use crate::set::SetRef;
 use crate::types::{CoreId, FillKind, InsertPos, LineAddr, SetIdx, WayIdx};
+use rand::Rng;
 
 /// What an L2 access observed, as reported to the policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,6 +85,25 @@ impl SpillDecision {
             _ => None,
         }
     }
+}
+
+/// Picks one spill receiver from a candidate mask (bit `i` is core `i`;
+/// at most 64 cores): `None` from an empty mask, the only candidate
+/// without a draw, otherwise the `rng.gen_range(0..count)`-th candidate in
+/// ascending core order. That is the pick, and the draw, of a
+/// `Vec<CoreId>` filled in core order and indexed by the same draw.
+pub fn pick_receiver<R: Rng + ?Sized>(candidates: u64, rng: &mut R) -> Option<CoreId> {
+    let mut mask = candidates;
+    match mask.count_ones() as usize {
+        0 => return None,
+        1 => {}
+        n => {
+            for _ in 0..rng.gen_range(0..n) {
+                mask &= mask - 1;
+            }
+        }
+    }
+    Some(CoreId(mask.trailing_zeros() as u8))
 }
 
 /// Behavioural interface of an LLC capacity-sharing policy.
@@ -319,6 +339,36 @@ mod tests {
     use crate::mesi::MesiState;
     use crate::set::CacheLine;
     use crate::types::LineAddr;
+    use rand::rngs::SmallRng;
+    use rand::{RngCore, SeedableRng};
+
+    #[test]
+    fn pick_receiver_is_the_vec_pick() {
+        let mut masks = SmallRng::seed_from_u64(9);
+        for seed in 0..2_000u64 {
+            // Sparse, dense and single-bit masks, plus the extremes.
+            let mask = match seed % 5 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => 1 << (masks.next_u64() % 64),
+                3 => masks.next_u64() & masks.next_u64() & masks.next_u64(),
+                _ => masks.next_u64(),
+            };
+            let mut old_rng = SmallRng::seed_from_u64(seed);
+            let vec: Vec<CoreId> = (0..64)
+                .filter(|i| mask >> i & 1 == 1)
+                .map(|i| CoreId(i as u8))
+                .collect();
+            let old = match vec.len() {
+                0 => None,
+                1 => Some(vec[0]),
+                n => Some(vec[old_rng.gen_range(0..n)]),
+            };
+            let mut rng = SmallRng::seed_from_u64(seed);
+            assert_eq!(pick_receiver(mask, &mut rng), old, "mask {mask:#x}");
+            assert_eq!(rng.next_u64(), old_rng.next_u64(), "same draws");
+        }
+    }
 
     #[test]
     fn baseline_never_spills() {

@@ -29,8 +29,8 @@
 use crate::ssl::{SetRole, SslTable};
 use crate::tuning::SslTuning;
 use cmp_cache::{
-    AccessOutcome, CoreId, CoreSnapshot, InsertPos, LlcPolicy, ObsEvent, PolicySnapshot,
-    RoleHistogram, SetIdx, SpillDecision, SpillVictim,
+    pick_receiver, AccessOutcome, CoreId, CoreSnapshot, InsertPos, LlcPolicy, ObsEvent,
+    PolicySnapshot, RoleHistogram, SetIdx, SpillDecision, SpillVictim,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -233,10 +233,10 @@ impl AvgccPolicy {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration (zero cores, non-power-of-two
-    /// shapes, epsilon outside `[0, 1]`).
+    /// Panics on inconsistent configuration (zero or more than 64 cores,
+    /// non-power-of-two shapes, epsilon outside `[0, 1]`).
     pub fn new(cfg: AvgccConfig) -> Self {
-        assert!(cfg.cores > 0, "need at least one core");
+        assert!(cfg.cores > 0 && cfg.cores <= 64, "1..=64 cores supported");
         assert!(
             (0.0..=1.0).contains(&cfg.bip_epsilon),
             "epsilon must be a probability"
@@ -473,7 +473,7 @@ impl LlcPolicy for AvgccPolicy {
         // ratio recovers (§8's "losing performance may be unacceptable").
         let k = self.caches[from.index()].ssl.k_fixed();
         let mut best = k;
-        let mut candidates: Vec<CoreId> = Vec::with_capacity(self.cfg.cores);
+        let mut candidates = 0u64;
         for (i, c) in self.caches.iter().enumerate() {
             if i == from.index() {
                 continue;
@@ -484,14 +484,14 @@ impl LlcPolicy for AvgccPolicy {
             let v = c.ssl.value(set.0);
             if v < best {
                 best = v;
-                candidates.clear();
-                candidates.push(CoreId(i as u8));
+                candidates = 1 << i;
             } else if v < k && v == best {
-                candidates.push(CoreId(i as u8));
+                candidates |= 1 << i;
             }
         }
-        match candidates.len() {
-            0 => {
+        match pick_receiver(candidates, &mut self.rng) {
+            Some(to) => SpillDecision::Spill(to),
+            None => {
                 let c = &mut self.caches[from.index()];
                 let idx = c.ssl.counter_of(set.0);
                 if !c.bip[idx] {
@@ -506,8 +506,6 @@ impl LlcPolicy for AvgccPolicy {
                 }
                 SpillDecision::NoCandidate
             }
-            1 => SpillDecision::Spill(candidates[0]),
-            n => SpillDecision::Spill(candidates[self.rng.gen_range(0..n)]),
         }
     }
 

@@ -21,8 +21,8 @@ use crate::spill_alloc::{cluster_of, SpillAllocator, CLUSTER_CORES};
 use crate::ssl::{SetRole, SslTable};
 use crate::tuning::SslTuning;
 use cmp_cache::{
-    AccessOutcome, CoreId, CoreSnapshot, InsertPos, LlcPolicy, ObsEvent, PolicySnapshot,
-    RoleHistogram, SetIdx, SpillDecision, SpillVictim,
+    pick_receiver, AccessOutcome, CoreId, CoreSnapshot, InsertPos, LlcPolicy, ObsEvent,
+    PolicySnapshot, RoleHistogram, SetIdx, SpillDecision, SpillVictim,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -223,10 +223,10 @@ impl AsccPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (zero cores, bad
-    /// power-of-two shapes — see [`SslTable::new`]).
+    /// Panics if the configuration is inconsistent (zero or more than 64
+    /// cores, bad power-of-two shapes — see [`SslTable::new`]).
     pub fn new(cfg: AsccConfig) -> Self {
-        assert!(cfg.cores > 0, "need at least one core");
+        assert!(cfg.cores > 0 && cfg.cores <= 64, "1..=64 cores supported");
         assert!(
             (0.0..=1.0).contains(&cfg.bip_epsilon),
             "epsilon must be a probability"
@@ -335,7 +335,7 @@ impl AsccPolicy {
         }
         let k_fixed = self.caches[0].ssl.k_fixed();
         let mut best: u16 = k_fixed;
-        let mut candidates: Vec<CoreId> = Vec::with_capacity(self.cfg.cores);
+        let mut candidates = 0u64;
         for (i, c) in self.caches.iter().enumerate() {
             if i == from.index() {
                 continue;
@@ -345,14 +345,13 @@ impl AsccPolicy {
                 continue;
             }
             match self.cfg.receiver_selection {
-                ReceiverSelection::Random => candidates.push(CoreId(i as u8)),
+                ReceiverSelection::Random => candidates |= 1 << i,
                 ReceiverSelection::MinSsl => {
                     if v < best {
                         best = v;
-                        candidates.clear();
-                        candidates.push(CoreId(i as u8));
+                        candidates = 1 << i;
                     } else if v == best {
-                        candidates.push(CoreId(i as u8));
+                        candidates |= 1 << i;
                     }
                 }
             }
@@ -362,17 +361,13 @@ impl AsccPolicy {
         // any, so spilled lines land a short hop away. Gated on the core
         // count so systems of one cluster keep the paper's exact behavior,
         // including the RNG draw sequence.
-        if self.cfg.cores > CLUSTER_CORES && candidates.len() > 1 {
-            let home = cluster_of(from);
-            if candidates.iter().any(|&c| cluster_of(c) == home) {
-                candidates.retain(|&c| cluster_of(c) == home);
+        if self.cfg.cores > CLUSTER_CORES && candidates.count_ones() > 1 {
+            let home = ((1 << CLUSTER_CORES) - 1) << (cluster_of(from) as usize * CLUSTER_CORES);
+            if candidates & home != 0 {
+                candidates &= home;
             }
         }
-        match candidates.len() {
-            0 => None,
-            1 => Some(candidates[0]),
-            n => Some(candidates[self.rng.gen_range(0..n)]),
-        }
+        pick_receiver(candidates, &mut self.rng)
     }
 
     fn bip_insert_pos(&mut self) -> InsertPos {

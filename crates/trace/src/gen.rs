@@ -215,11 +215,17 @@ impl Mixture {
 
 impl AccessStream for Mixture {
     fn next_access(&mut self) -> Access {
+        // The first cumulative weight reaching `u` (capped at the last
+        // component, against rounding) marks the component whose interval
+        // holds `u`: the cumulative weights never decrease, since weights
+        // are nonnegative. A forward scan suits 2–4 components of which
+        // the first usually carries most of the weight.
         let u: f64 = self.rng.gen();
-        let idx = self
-            .components
-            .partition_point(|(c, _)| *c < u)
-            .min(self.components.len() - 1);
+        let last = self.components.len() - 1;
+        let idx = self.components[..last]
+            .iter()
+            .position(|(c, _)| *c >= u)
+            .unwrap_or(last);
         let mut a = self.components[idx].1.next_access();
         if self.rng.gen::<f64>() < self.store_fraction {
             a.kind = cmp_cache::AccessKind::Store;
