@@ -13,7 +13,9 @@
 use ascc::{ArcConfig, AsccConfig, AvgccConfig, RdcbConfig, TinyLfuConfig};
 use cmp_cache::{CacheGeometry, LlcPolicy, PrivateBaseline};
 use cmp_json::Value;
-use cmp_sim::{mix_sources, run_mix, CmpSystem, RunResult, SystemConfig};
+use cmp_sim::{
+    mix_sources, run_mix, CmpSystem, RunResult, SharedConfig, SharedLlcSystem, SystemConfig,
+};
 use cmp_trace::{mixes_for, two_app_mixes};
 use spill_baselines::{DsrConfig, DsrDipPolicy, EccConfig};
 
@@ -256,6 +258,67 @@ fn engine_matches_seed_goldens() {
     assert_eq!(
         got, want,
         "engine output diverged from the seed goldens; if the behaviour \
+         change is deliberate, regenerate with ASCC_BLESS=1"
+    );
+}
+
+// ----- shared-LLC goldens (2, 4, 12 and 64 cores) ------------------------
+
+fn shared_golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/shared_llc_identity.json")
+}
+
+/// The §6.1 shared-LLC system at the golden configs' aggregate capacity.
+/// The aggregate LLC needs a power-of-two set count, so the 12-core run
+/// takes the 16-core capacity.
+fn capture_shared() -> Value {
+    let widths: Vec<Value> = [2usize, 4, 12, 64]
+        .iter()
+        .map(|&cores| {
+            let (mut shared, mix) = match cores {
+                2 => (SharedConfig::from_private(&cfg()), &two_app_mixes()[0]),
+                _ => (
+                    SharedConfig::from_private(&wide_cfg(cores.next_power_of_two())),
+                    &mixes_for(cores)[0],
+                ),
+            };
+            shared.cores = cores;
+            let mut sys = SharedLlcSystem::from_sources(shared, mix_sources(mix, SEED));
+            let r = sys.run(INSTRS, WARMUP);
+            Value::object()
+                .insert("cores", cores as f64)
+                .insert("mix", mix.name.clone())
+                .insert("run", run_to_json(&r))
+        })
+        .collect();
+    Value::object()
+        .insert("instrs", INSTRS as f64)
+        .insert("warmup", WARMUP as f64)
+        .insert("seed", SEED as f64)
+        .insert("widths", Value::Array(widths))
+}
+
+/// Pins the shared-LLC system's results to the bit at 2, 4, 12 (12 leaves
+/// padded to 16) and 64 cores (the six-level scheduler tree).
+#[test]
+fn shared_llc_matches_goldens() {
+    let got = capture_shared().pretty();
+    let path = shared_golden_path();
+    if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with ASCC_BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got, want,
+        "shared-LLC output diverged from the goldens; if the behaviour \
          change is deliberate, regenerate with ASCC_BLESS=1"
     );
 }
