@@ -94,38 +94,65 @@ fn sweep(
     }
 }
 
-/// Pure front-end rates, no simulator behind them: accesses/sec of live
-/// generation vs warm materialized replay over the first mix.
-fn generator_rates(mix: &WorkloadMix, scale: Scale, accesses: u64) -> (f64, f64) {
-    let n = mix.cores() as u64;
-    let per_core = (accesses / n).max(1);
+/// Timed repeats of each generator pass; the record keeps the median and
+/// the range, since one pass cannot order two builds on a shared host.
+const GEN_REPEATS: usize = 5;
 
-    let mut ws = mix_workloads(mix, scale.seed);
-    let t0 = std::time::Instant::now();
-    let mut sink = 0u64;
-    for w in &mut ws {
-        for _ in 0..per_core {
-            sink = sink.wrapping_add(w.stream.next_access().addr.raw());
+/// Median, minimum and maximum of one pass's rates over the repeats.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut rates: Vec<f64>) -> Self {
+        rates.sort_by(f64::total_cmp);
+        Spread {
+            median: rates[rates.len() / 2],
+            min: rates[0],
+            max: rates[rates.len() - 1],
         }
     }
-    let streaming = (per_core * n) as f64 / t0.elapsed().as_secs_f64().max(1e-9);
+}
 
-    // Warm pass materializes the chunks; the timed pass replays them.
+/// Pure front-end rates, no simulator behind them: accesses/sec of live
+/// generation vs warm materialized replay over the first mix, each pass
+/// timed [`GEN_REPEATS`] times on fresh workloads or sources.
+fn generator_rates(mix: &WorkloadMix, scale: Scale, accesses: u64) -> (Spread, Spread) {
+    let n = mix.cores() as u64;
+    let per_core = (accesses / n).max(1);
+    let rate = |t: std::time::Instant| (per_core * n) as f64 / t.elapsed().as_secs_f64().max(1e-9);
+    let mut sink = 0u64;
+
+    // An untimed pass materializes the chunks; the replay passes read them.
     for s in &mut mix_sources(mix, scale.seed) {
         for _ in 0..per_core {
             sink = sink.wrapping_add(s.feed.next_access().addr.raw());
         }
     }
-    let mut srcs = mix_sources(mix, scale.seed);
-    let t1 = std::time::Instant::now();
-    for s in &mut srcs {
-        for _ in 0..per_core {
-            sink = sink.wrapping_add(s.feed.next_access().addr.raw());
+    let (mut streaming, mut replay) = (Vec::new(), Vec::new());
+    for _ in 0..GEN_REPEATS {
+        let mut ws = mix_workloads(mix, scale.seed);
+        let t0 = std::time::Instant::now();
+        for w in &mut ws {
+            for _ in 0..per_core {
+                sink = sink.wrapping_add(w.stream.next_access().addr.raw());
+            }
         }
+        streaming.push(rate(t0));
+
+        let mut srcs = mix_sources(mix, scale.seed);
+        let t1 = std::time::Instant::now();
+        for s in &mut srcs {
+            for _ in 0..per_core {
+                sink = sink.wrapping_add(s.feed.next_access().addr.raw());
+            }
+        }
+        replay.push(rate(t1));
     }
-    let replay = (per_core * n) as f64 / t1.elapsed().as_secs_f64().max(1e-9);
     std::hint::black_box(sink);
-    (streaming, replay)
+    (Spread::of(streaming), Spread::of(replay))
 }
 
 /// The host the numbers were measured on: CPU model (from
@@ -176,8 +203,10 @@ fn main() {
     let gen_accesses = (scale.instrs / 2).clamp(200_000, 8_000_000);
     let (gen_streaming, gen_replay) = generator_rates(&mixes[0], scale, gen_accesses);
     println!(
-        "generator only: streaming {gen_streaming:.0} acc/s, warm replay {gen_replay:.0} acc/s ({:.2}x)",
-        gen_replay / gen_streaming.max(1e-9)
+        "generator only, median of {GEN_REPEATS}: streaming {:.0} acc/s, warm replay {:.0} acc/s ({:.2}x)",
+        gen_streaming.median,
+        gen_replay.median,
+        gen_replay.median / gen_streaming.median.max(1e-9)
     );
 
     // Warm the arena outside any timed window so the rows measure replay,
@@ -264,8 +293,13 @@ fn main() {
             "generator",
             Value::object()
                 .insert("accesses", gen_accesses as f64)
-                .insert("streaming_acc_per_sec", gen_streaming)
-                .insert("replay_acc_per_sec", gen_replay),
+                .insert("repeats", GEN_REPEATS as f64)
+                .insert("streaming_acc_per_sec", gen_streaming.median)
+                .insert("streaming_acc_per_sec_min", gen_streaming.min)
+                .insert("streaming_acc_per_sec_max", gen_streaming.max)
+                .insert("replay_acc_per_sec", gen_replay.median)
+                .insert("replay_acc_per_sec_min", gen_replay.min)
+                .insert("replay_acc_per_sec_max", gen_replay.max),
         )
         .insert(
             "rows",

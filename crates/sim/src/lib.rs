@@ -47,6 +47,7 @@ mod shared;
 pub mod snapshot;
 mod sweep;
 mod system;
+mod timing;
 
 pub use config::SystemConfig;
 pub use energy::EnergyModel;

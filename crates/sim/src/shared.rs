@@ -8,11 +8,13 @@
 //! write-back in this configuration."
 
 use crate::config::SystemConfig;
-use crate::metrics::{CoreResult, RunResult};
+use crate::metrics::RunResult;
+use crate::timing::{self, CoreState, HotCore, MemorySide};
 use cmp_cache::{
-    AccessKind, CacheGeometry, CacheLine, FillKind, InsertPos, LineAddr, MesiState, SetAssocCache,
+    AccessKind, Addr, CacheGeometry, CacheLine, FillKind, InsertPos, LineAddr, MesiState,
+    SetAssocCache,
 };
-use cmp_trace::CoreSource;
+use cmp_trace::{CoreSource, CpuModel};
 
 /// Configuration of the shared-LLC system.
 #[derive(Clone, Debug)]
@@ -47,34 +49,15 @@ impl SharedConfig {
     }
 }
 
-struct SharedCore {
-    source: CoreSource,
-    clock: f64,
-    carry: f64,
-    instrs: u64,
-    cycles: f64,
-    start: Option<(u64, f64, CoreCnt)>,
-    end: Option<(u64, f64, CoreCnt)>,
-    cnt: CoreCnt,
-}
-
-#[derive(Clone, Copy, Default)]
-struct CoreCnt {
-    l1_accesses: u64,
-    l1_hits: u64,
-    llc_accesses: u64,
-    llc_hits: u64,
-    llc_misses: u64,
-    offchip_fetches: u64,
-    writebacks: u64,
-}
-
 /// A CMP with one shared, interleaved LLC — the §6.1 comparison point.
+/// Its cores run on the same timing model and drain loop as
+/// [`crate::CmpSystem`]'s. LLC accesses, hits and misses count as
+/// `l2_accesses`, `l2_local_hits` and `l2_mem`.
 pub struct SharedLlcSystem {
     cfg: SharedConfig,
     l1s: Vec<SetAssocCache>,
     llc: SetAssocCache,
-    cores: Vec<SharedCore>,
+    cores: Vec<CoreState>,
 }
 
 impl std::fmt::Debug for SharedLlcSystem {
@@ -103,19 +86,7 @@ impl SharedLlcSystem {
         SharedLlcSystem {
             l1s: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             llc: SetAssocCache::new(cfg.llc),
-            cores: sources
-                .into_iter()
-                .map(|w| SharedCore {
-                    source: w,
-                    clock: 0.0,
-                    carry: 0.0,
-                    instrs: 0,
-                    cycles: 0.0,
-                    start: None,
-                    end: None,
-                    cnt: CoreCnt::default(),
-                })
-                .collect(),
+            cores: sources.into_iter().map(CoreState::new).collect(),
             cfg,
         }
     }
@@ -123,124 +94,32 @@ impl SharedLlcSystem {
     /// Runs warmup + measured instructions per core (same protocol as
     /// [`crate::CmpSystem::run_batched`]) on the lowest-clock interleave.
     pub fn run(&mut self, instr_target: u64, warmup_instrs: u64) -> RunResult {
-        assert!(instr_target > 0, "need a nonzero instruction target");
-        self.interleave(instr_target, warmup_instrs);
+        timing::run(self, instr_target, warmup_instrs, 0, |_| true);
         self.result()
     }
 
     fn result(&self) -> RunResult {
         RunResult {
             policy: "shared-LLC".to_string(),
-            cores: self
-                .cores
-                .iter()
-                .map(|c| {
-                    let (si, sc, s) = c.start.expect("set in run()");
-                    let (ei, ec, e) = c.end.expect("set in run()");
-                    CoreResult {
-                        label: c.source.label.clone(),
-                        instrs: ei - si,
-                        cycles: ec - sc,
-                        l2_accesses: e.llc_accesses - s.llc_accesses,
-                        l2_local_hits: e.llc_hits - s.llc_hits,
-                        l2_remote_hits: 0,
-                        l2_mem: e.llc_misses - s.llc_misses,
-                        offchip_fetches: e.offchip_fetches - s.offchip_fetches,
-                        writebacks: e.writebacks - s.writebacks,
-                        l1_accesses: e.l1_accesses - s.l1_accesses,
-                        l1_hits: e.l1_hits - s.l1_hits,
-                    }
-                })
-                .collect(),
+            cores: timing::rows(&self.cores),
             spills: 0,
             swaps: 0,
             spill_hits: 0,
         }
     }
 
-    /// The lowest-clock interleave: one first-minimum pick (ties to the
-    /// lowest index) per access, read off the same winner tree as
-    /// [`crate::CmpSystem`]'s loop and replayed after the access.
-    fn interleave(&mut self, instr_target: u64, warmup_instrs: u64) {
-        let mut tree = crate::sched::WinnerTree::new(self.cores.iter().map(|c| c.clock));
-        loop {
-            let i = tree.winner();
-            self.step(i);
-            tree.update(i, self.cores[i].clock);
-            if self.bookkeeping(i, instr_target, warmup_instrs) {
-                break;
-            }
-        }
-    }
-
-    /// Post-access warm-up/end capture; `true` once every core is done.
-    fn bookkeeping(&mut self, i: usize, instr_target: u64, warmup_instrs: u64) -> bool {
-        let c = &mut self.cores[i];
-        if c.start.is_none() && c.instrs >= warmup_instrs {
-            c.start = Some((c.instrs, c.cycles, c.cnt));
-        }
-        if let Some((si, _, _)) = c.start {
-            if c.end.is_none() && c.instrs - si >= instr_target {
-                c.end = Some((c.instrs, c.cycles, c.cnt));
-            }
-        }
-        self.cores.iter().all(|c| c.end.is_some())
-    }
-
-    fn step(&mut self, i: usize) {
-        let acc = self.cores[i].source.feed.next_access();
-        let cpu = self.cores[i].source.cpu;
-        {
-            let c = &mut self.cores[i];
-            c.carry += 1.0 / cpu.mem_fraction;
-            let n = (c.carry as u64).max(1);
-            c.carry -= n as f64;
-            c.instrs += n;
-            c.clock += n as f64 * cpu.base_cpi;
-            c.cycles += n as f64 * cpu.base_cpi;
-            c.cnt.l1_accesses += 1;
-        }
-        let line = acc.addr.line(self.cfg.l1.offset_bits());
-        let l1_hit = self.l1s[i].access(line).is_some();
-        let latency = if l1_hit {
-            self.cores[i].cnt.l1_hits += 1;
-            if acc.kind.is_store() {
-                // Coalescing write buffer: state-only update (see CmpSystem).
-                self.llc.set_state(line, MesiState::Modified);
-            }
-            0
-        } else {
-            let lat = self.llc_access(i, line, acc.kind);
-            let set = self.cfg.l1.set_of(line);
-            let way = self.l1s[i].set(set).default_victim();
-            self.l1s[i].fill(
-                set,
-                way,
-                CacheLine::demand(line, MesiState::Exclusive),
-                InsertPos::Mru,
-                FillKind::Demand,
-            );
-            lat
-        };
-        if !acc.kind.is_store() && latency > 0 {
-            let c = &mut self.cores[i];
-            let stall = latency as f64 * cpu.overlap;
-            c.clock += stall;
-            c.cycles += stall;
-        }
-    }
-
     fn llc_access(&mut self, i: usize, line: LineAddr, kind: AccessKind) -> u32 {
-        self.cores[i].cnt.llc_accesses += 1;
+        let cnt = &mut self.cores[i].counters;
+        cnt.l2_accesses += 1;
         if self.llc.access(line).is_some() {
-            self.cores[i].cnt.llc_hits += 1;
+            cnt.l2_local_hits += 1;
             if kind.is_store() {
                 self.llc.set_state(line, MesiState::Modified);
             }
             return self.cfg.lat_llc;
         }
-        self.cores[i].cnt.llc_misses += 1;
-        self.cores[i].cnt.offchip_fetches += 1;
+        cnt.l2_mem += 1;
+        cnt.offchip_fetches += 1;
         let set = self.cfg.llc.set_of(line);
         let way = self.llc.set(set).default_victim();
         let state = if kind.is_store() {
@@ -261,10 +140,65 @@ impl SharedLlcSystem {
                 l1.invalidate(v.addr);
             }
             if v.state.is_dirty() {
-                self.cores[i].cnt.writebacks += 1;
+                cnt.writebacks += 1;
             }
         }
         self.cfg.lat_llc + self.cfg.lat_mem
+    }
+
+    /// L1 ⊆ LLC inclusion and recency permutations, checked after every
+    /// access under the `debug-invariants` feature.
+    #[cfg(feature = "debug-invariants")]
+    fn debug_check_invariants(&self) {
+        let llc = std::slice::from_ref(&self.llc);
+        let mut problems = crate::system::inclusion_violations(&self.l1s, |_| &self.llc);
+        problems.extend(
+            cmp_coherence::check_recency(&self.l1s)
+                .iter()
+                .chain(cmp_coherence::check_recency(llc).iter())
+                .map(|v| v.to_string()),
+        );
+        assert!(
+            problems.is_empty(),
+            "invariants violated after step: {}",
+            problems.join("; ")
+        );
+    }
+}
+
+impl MemorySide for SharedLlcSystem {
+    fn cores_mut(&mut self) -> &mut [CoreState] {
+        &mut self.cores
+    }
+
+    /// One access of core `i` below the header math: the L1 probe, the
+    /// LLC access on a miss, and the stall.
+    #[inline(always)]
+    fn access(
+        &mut self,
+        i: usize,
+        h: &mut HotCore,
+        cpu: &CpuModel,
+        addr: Addr,
+        kind: AccessKind,
+        _stream: u16,
+    ) {
+        let line = addr.line(self.cfg.l1.offset_bits());
+        let latency = if self.l1s[i].access(line).is_some() {
+            h.l1_hits += 1;
+            if kind.is_store() {
+                // Coalescing write buffer: state-only update (see CmpSystem).
+                self.llc.set_state(line, MesiState::Modified);
+            }
+            0
+        } else {
+            let lat = self.llc_access(i, line, kind);
+            crate::system::fill_l1_demand(&mut self.l1s[i], line);
+            lat
+        };
+        h.stall(kind, latency, cpu.overlap);
+        #[cfg(feature = "debug-invariants")]
+        self.debug_check_invariants();
     }
 }
 
@@ -331,7 +265,8 @@ mod tests {
 
     impl SharedLlcSystem {
         /// The reference interleave: one access per scheduler pick, always
-        /// the globally-oldest core (first-minimum clock).
+        /// the globally-oldest core (first-minimum clock), with the
+        /// warm-up/end capture written out per access.
         fn interleave_streaming(&mut self, instr_target: u64, warmup_instrs: u64) {
             loop {
                 let i = self
@@ -341,8 +276,17 @@ mod tests {
                     .min_by(|a, b| a.1.clock.total_cmp(&b.1.clock))
                     .map(|(i, _)| i)
                     .expect("at least one core");
-                self.step(i);
-                if self.bookkeeping(i, instr_target, warmup_instrs) {
+                timing::step(self, i);
+                let c = &mut self.cores[i];
+                if c.warm_snap.is_none() && c.counters.instrs >= warmup_instrs {
+                    c.warm_snap = Some(c.counters);
+                }
+                if let Some(w) = c.warm_snap {
+                    if c.end_snap.is_none() && c.counters.instrs - w.instrs >= instr_target {
+                        c.end_snap = Some(c.counters);
+                    }
+                }
+                if self.cores.iter().all(|c| c.end_snap.is_some()) {
                     break;
                 }
             }
@@ -353,8 +297,12 @@ mod tests {
     /// cores: identical results, clocks to the bit, access counts and LLC
     /// statistics. Every fourth core repeats one of four loops, so cores
     /// with integral clocks tie often and the first-minimum tie-break is
-    /// exercised as well as the strict order.
+    /// exercised as well as the strict order. Every width runs about the
+    /// same number of accesses in total, over one 64 kB LLC, so the
+    /// `debug-invariants` sweep after every access stays affordable at 64
+    /// cores.
     fn assert_interleave_matches_streaming(cores: usize) {
+        let instrs = 40_000 / cores as u64;
         let build = || {
             let regions = [24 << 10, 4 << 10, 40 << 10, 512];
             let w: Vec<CoreWorkload> = (0..cores)
@@ -366,31 +314,39 @@ mod tests {
                     w
                 })
                 .collect();
-            // The aggregate LLC needs a power-of-two set count, so widths
-            // that are not powers of two get the next one's capacity.
-            let mut c = cfg(cores.next_power_of_two());
+            let mut c = cfg(4);
             c.cores = cores;
             SharedLlcSystem::from_sources(c, w)
         };
         let mut batched = build();
         let mut reference = build();
-        let r = batched.run(40_000, 10_000);
-        reference.interleave_streaming(40_000, 10_000);
+        let r = batched.run(instrs, instrs / 4);
+        reference.interleave_streaming(instrs, instrs / 4);
         assert_eq!(r, reference.result());
         for (b, s) in batched.cores.iter().zip(&reference.cores) {
             assert_eq!(b.clock.to_bits(), s.clock.to_bits());
-            assert_eq!(b.cnt.l1_accesses, s.cnt.l1_accesses);
+            assert_eq!(b.counters.l1_accesses, s.counters.l1_accesses);
         }
         assert_eq!(batched.llc.stats(), reference.llc.stats());
     }
 
     #[test]
     fn batched_interleave_matches_lowest_clock_order() {
-        // Four cores fill one four-leaf tree; twelve pad it to sixteen
-        // leaves, which must never win.
-        for cores in [4, 12] {
+        // One leaf; two and four fill their trees; twelve pad theirs to
+        // sixteen leaves, which must never win; 64 is the six-level tree.
+        for cores in [1, 2, 4, 12, 64] {
             assert_interleave_matches_streaming(cores);
         }
+    }
+
+    #[test]
+    fn a_finished_run_returns_its_result_again() {
+        let mut sys = SharedLlcSystem::from_sources(
+            cfg(2),
+            vec![workload(0, 4 << 10), workload(1 << 30, 512)],
+        );
+        let first = sys.run(10_000, 1_000);
+        assert_eq!(sys.run(10_000, 1_000), first);
     }
 
     #[test]

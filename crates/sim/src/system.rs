@@ -1,17 +1,7 @@
 //! The CMP simulator: private two-level hierarchies kept coherent by the
-//! sharer-bitmask directory, an analytical core timing model, and the
-//! spill/swap orchestration that the LLC policies steer.
-//!
-//! ## Timing model
-//!
-//! Cores are modelled analytically (DESIGN.md substitution #2): committing
-//! `n` instructions costs `n * base_cpi` cycles, and a load that misses in
-//! L1 additionally stalls the core for the hierarchy latency scaled by the
-//! benchmark's `overlap` factor (its memory-level parallelism). Stores are
-//! buffered (write-through L1, write-back L2) and never stall. The
-//! simulation interleaves cores at access granularity by always advancing
-//! the core with the smallest clock, so caches observe a realistic global
-//! interleaving of the competing access streams.
+//! sharer-bitmask directory, and the spill/swap orchestration that the LLC
+//! policies steer. This is the memory side; the cores run on the
+//! analytical timing model and drain loop of [`crate::timing`].
 //!
 //! ## Memory-system behaviour per L2 access
 //!
@@ -26,140 +16,51 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
+use crate::timing::{self, CoreState, Counters, HotCore, MemorySide};
 use cmp_cache::{
     AccessKind, AccessOutcome, Addr, CacheLine, CoreId, FillKind, InsertPos, LineAddr, LlcPolicy,
     MesiState, NullProbe, ObsEvent, ObsProbe, SetAssocCache, SetIdx, SpillDecision, SpillVictim,
     StridePrefetcher,
 };
 use cmp_coherence::{DirectoryFabric, ReadPolicy};
-use cmp_trace::{AccessFeed, CoreSource, TraceChunk};
-use std::sync::Arc;
+use cmp_trace::{CoreSource, CpuModel};
+
+/// One message per line of an L1 that the level below it, `below(core)`,
+/// does not hold: the L1 ⊆ L2 (or LLC) inclusion check.
+pub(crate) fn inclusion_violations<'a>(
+    l1s: &[SetAssocCache],
+    below: impl Fn(usize) -> &'a SetAssocCache,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    for (i, l1) in l1s.iter().enumerate() {
+        for s in 0..l1.geometry().sets() {
+            for (_, line) in l1.set(SetIdx(s)).iter() {
+                if below(i).probe(line.addr).is_none() {
+                    out.push(format!(
+                        "core {i}: L1 line {:?} missing below (inclusion)",
+                        line.addr
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Demand-fills `line` into an L1 at MRU. The victim leaves silently:
+/// write-through keeps L1 clean.
+#[inline(always)]
+pub(crate) fn fill_l1_demand(l1: &mut SetAssocCache, line: LineAddr) {
+    let set = l1.geometry().set_of(line);
+    let way = l1.set(set).default_victim();
+    let demand = CacheLine::demand(line, MesiState::Exclusive);
+    l1.fill(set, way, demand, InsertPos::Mru, FillKind::Demand);
+}
 
 /// The snapshot fingerprint's coherence-fabric byte. The directory is the
 /// only fabric; `0` marks a snapshot taken on the retired broadcast bus,
 /// which restores as a [`SnapError::Mismatch`](cmp_snap::SnapError).
 const FABRIC_DIRECTORY: u8 = 1;
-
-/// Batch-local mirror of the [`CoreState`] fields the per-access header
-/// math touches: the batched loop updates it in place in the dense
-/// [`DrainCore`] array and flushes it back to the authoritative
-/// [`CoreState`] only where the outside world can look — before hooks
-/// (which may snapshot) and at the end of the run; [`step`](CmpSystem::step)
-/// flushes after its one access.
-#[derive(Clone, Copy)]
-struct HotCore {
-    clock: f64,
-    carry: f64,
-    cycles: f64,
-    instrs: u64,
-    l1_accesses: u64,
-    l1_hits: u64,
-}
-
-impl HotCore {
-    fn load(c: &CoreState) -> Self {
-        HotCore {
-            clock: c.clock,
-            carry: c.carry,
-            cycles: c.counters.cycles,
-            instrs: c.counters.instrs,
-            l1_accesses: c.counters.l1_accesses,
-            l1_hits: c.counters.l1_hits,
-        }
-    }
-}
-
-/// Per-core scheduler state of the batched event loop, persistent across
-/// drains. Most drains are a single access (on the scaling mixes the mean
-/// is 3.3 accesses at 2 cores, 1.1 at 4 and 1.0 at 16), so any work done
-/// per *drain* rather than per chunk shows up directly in throughput.
-/// Everything lives in one dense struct (two cache lines per core)
-/// instead of being re-derived from the scattered [`CoreState`]:
-/// the [`HotCore`] mirror stays loaded (cores are flushed only at hooks
-/// and at the end of the run), the CPU constants and warm-up/end
-/// trackers are plain fields, and the current chunk run is cached so
-/// [`run_slice`](cmp_trace::TraceCursor::run_slice)'s `Arc` clone and the
-/// feed-cursor commit happen once per chunk, not once per drain.
-struct DrainCore {
-    hot: HotCore,
-    cpu: cmp_trace::CpuModel,
-    inv_mf: f64,
-    warm_base: Option<u64>,
-    ended: bool,
-    /// The cached chunk run (empty until the first refresh).
-    chunk: Arc<TraceChunk>,
-    /// Cached `chunk.len()`.
-    len: usize,
-    /// Next unconsumed access within `chunk`.
-    pos: usize,
-    /// Position the feed cursor has been advanced to. Commits are
-    /// deferred: the cursor is synced to `pos` when the cached chunk is
-    /// exhausted and before anything externally visible (hooks, the end
-    /// of the run) — see [`CmpSystem::commit_feeds`].
-    committed: usize,
-}
-
-impl DrainCore {
-    fn load(c: &CoreState) -> Self {
-        DrainCore {
-            hot: HotCore::load(c),
-            cpu: c.source.cpu,
-            inv_mf: 1.0 / c.source.cpu.mem_fraction,
-            warm_base: c.warm_snap.map(|w| w.instrs),
-            ended: c.end_snap.is_some(),
-            chunk: TraceChunk::empty(),
-            len: 0,
-            pos: 0,
-            committed: 0,
-        }
-    }
-}
-
-/// Refills a core's cached chunk run: syncs the feed cursor past the
-/// consumed prefix of the old run, then caches the next one. The old run
-/// is let go of first, so a private cursor's buffer is refilled in place.
-fn refresh_chunk(d: &mut DrainCore, feed: &mut AccessFeed) {
-    feed.advance(d.pos - d.committed);
-    d.chunk = TraceChunk::empty();
-    let (chunk, pos) = feed.run_slice().expect("a cursor always has a slice");
-    d.len = chunk.len();
-    d.chunk = chunk;
-    d.pos = pos;
-    d.committed = pos;
-}
-
-/// Why a batched drain stopped.
-enum Pause {
-    /// Another core is now the first-minimum pick.
-    Resched,
-    /// `hook_every` accesses elapsed; the hook must run.
-    Hook,
-    /// Every core captured its end snapshot; the run is complete.
-    Done,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Counters {
-    instrs: u64,
-    cycles: f64,
-    l1_accesses: u64,
-    l1_hits: u64,
-    l2_accesses: u64,
-    l2_local_hits: u64,
-    l2_remote_hits: u64,
-    l2_mem: u64,
-    offchip_fetches: u64,
-    writebacks: u64,
-}
-
-struct CoreState {
-    source: CoreSource,
-    clock: f64,
-    carry: f64,
-    counters: Counters,
-    warm_snap: Option<Counters>,
-    end_snap: Option<Counters>,
-}
 
 #[derive(Clone, Copy, Debug, Default)]
 struct GlobalCounters {
@@ -268,17 +169,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                 .map(|p| (0..cfg.cores).map(|_| StridePrefetcher::new(p)).collect())
                 .unwrap_or_default(),
             pf_buf: Vec::with_capacity(8),
-            cores: sources
-                .into_iter()
-                .map(|w| CoreState {
-                    source: w,
-                    clock: 0.0,
-                    carry: 0.0,
-                    counters: Counters::default(),
-                    warm_snap: None,
-                    end_snap: None,
-                })
-                .collect(),
+            cores: sources.into_iter().map(CoreState::new).collect(),
             policy,
             global: GlobalCounters::default(),
             global_warm: None,
@@ -327,17 +218,8 @@ impl<P: ObsProbe> CmpSystem<P> {
     ///
     /// Panics if any L1 holds a line its own L2 does not.
     pub fn assert_inclusive(&self) {
-        for (i, l1) in self.l1s.iter().enumerate() {
-            for s in 0..l1.geometry().sets() {
-                for (_, line) in l1.set(SetIdx(s)).iter() {
-                    assert!(
-                        self.l2s[i].probe(line.addr).is_some(),
-                        "core {i}: L1 line {:?} missing from L2 (inclusion)",
-                        line.addr
-                    );
-                }
-            }
-        }
+        let missing = inclusion_violations(&self.l1s, |i| &self.l2s[i]);
+        assert!(missing.is_empty(), "{}", missing.join("; "));
     }
 
     /// Runs the workloads: each core first commits `warmup_instrs` (not
@@ -352,29 +234,8 @@ impl<P: ObsProbe> CmpSystem<P> {
             .expect("an always-continue hook cannot abort the run")
     }
 
-    /// The batched event loop: drains whole [`TraceChunk`](cmp_trace::TraceChunk)
-    /// runs per core instead of re-scheduling after every access, while
-    /// producing the exact access interleaving of the spec's scheduler —
-    /// always advance the core with the lowest clock, ties to the lowest
-    /// core index (`cmp_oracle::OracleSystem::run_interleaved` is that
-    /// spec, written out literally).
-    ///
-    /// One scheduler makes the pick: a winner tree over the core clocks
-    /// (`sched::WinnerTree`), whose root is the first-minimum core. The
-    /// picked core drains its cached chunk run; after every access its
-    /// leaf is replayed (⌈log₂ cores⌉ compares) and the drain ends as soon
-    /// as the root names another core. That is the spec's pick before
-    /// every access, so drains size themselves: long where one core runs
-    /// ahead on L1 hits, a single access where many cores interleave
-    /// closely. Most drains are one access even at 2 cores, so a drain
-    /// costs no more than a pick: the per-access header math runs in place
-    /// on the core's dense `HotCore` (one reciprocal hoists the
-    /// `mem_fraction` divide), with nothing copied in or out per drain.
-    /// Accesses come straight out of the chunk's SoA arrays, and the
-    /// upcoming addresses and stream ids are prefetched
-    /// ([`TraceChunk::prefetch`](cmp_trace::TraceChunk::prefetch)): at 16
-    /// cores the loop walks three arrays per core, more sequential streams
-    /// than the hardware prefetcher tracks.
+    /// The batched event loop: the lowest-clock interleave of the spec's
+    /// scheduler, drained a trace chunk at a time.
     ///
     /// `hook` runs with flushed, snapshot-able state after every
     /// `hook_every` global accesses (`0` = never; the final access of the
@@ -388,270 +249,26 @@ impl<P: ObsProbe> CmpSystem<P> {
         instr_target: u64,
         warmup_instrs: u64,
         hook_every: u64,
-        mut hook: impl FnMut(&mut Self) -> bool,
+        hook: impl FnMut(&mut Self) -> bool,
     ) -> Option<RunResult> {
-        assert!(instr_target > 0, "need a nonzero instruction target");
-        let hook_period = if hook_every == 0 {
-            u64::MAX
-        } else {
-            hook_every
-        };
-        let mut until_hook = hook_period;
-        // Most drains are one access, so per-drain work is per-access
-        // work (see [`DrainCore`]): per-core scheduler state persists
-        // across drains in dense structs, the tree is allocated once per
-        // run, and cores are flushed only at hooks and at the end of the
-        // run. Hooks take `&mut Self` and may move anything, so the
-        // mirrors and the tree are rebuilt after one fires.
-        let mut drain: Vec<DrainCore> = self.cores.iter().map(DrainCore::load).collect();
-        let mut tree = crate::sched::WinnerTree::new(self.cores.iter().map(|c| c.clock));
-        loop {
-            let i = tree.winner();
-            let d = &mut drain[i];
-            let pause = loop {
-                if d.pos >= d.len {
-                    refresh_chunk(d, &mut self.cores[i].source.feed);
-                }
-                let chunk = &d.chunk;
-                let addrs = chunk.addrs();
-                let streams = chunk.streams();
-                let stores = chunk.store_words();
-                let mut pause = None;
-                while d.pos < d.len {
-                    let idx = d.pos;
-                    d.pos = idx + 1;
-                    chunk.prefetch(idx);
-                    let addr = Addr::new(addrs[idx]);
-                    let stream = streams[idx];
-                    let kind = if stores[idx >> 6] >> (idx & 63) & 1 == 1 {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    self.batched_access(i, &mut d.hot, d.inv_mf, &d.cpu, addr, kind, stream);
-                    tree.update(i, d.hot.clock);
-                    pause = self.batched_bookkeeping(
-                        i,
-                        &d.hot,
-                        instr_target,
-                        warmup_instrs,
-                        &mut d.warm_base,
-                        &mut d.ended,
-                        &mut until_hook,
-                    );
-                    if pause.is_none() && tree.winner() != i {
-                        pause = Some(Pause::Resched);
-                    }
-                    if pause.is_some() {
-                        break;
-                    }
-                }
-                // `None`: the chunk ran out mid-drain.
-                if let Some(p) = pause {
-                    break p;
-                }
-            };
-            match pause {
-                Pause::Resched => {}
-                Pause::Done => {
-                    self.commit_feeds(&mut drain);
-                    break;
-                }
-                Pause::Hook => {
-                    self.commit_feeds(&mut drain);
-                    until_hook = hook_period;
-                    if !hook(self) {
-                        return None;
-                    }
-                    // The hook holds `&mut Self` and may have moved
-                    // anything (e.g. restoring a snapshot): reload the
-                    // mirrors and the tree rather than trust the
-                    // incremental state.
-                    for (d, c) in drain.iter_mut().zip(&self.cores) {
-                        *d = DrainCore::load(c);
-                    }
-                    tree.rebuild(self.cores.iter().map(|c| c.clock));
-                }
-            }
-        }
-        Some(self.result())
-    }
-
-    /// Makes the batched loop's deferred state externally visible: every
-    /// core's [`HotCore`] mirror is flushed and every feed cursor synced
-    /// to its cached chunk position. Run before anything that observes
-    /// the system as a whole — hooks (which may snapshot) and the end of
-    /// the run.
-    fn commit_feeds(&mut self, drain: &mut [DrainCore]) {
-        for (j, d) in drain.iter_mut().enumerate() {
-            if d.pos > d.committed {
-                self.cores[j].source.feed.advance(d.pos - d.committed);
-                d.committed = d.pos;
-            }
-            self.flush_hot(j, &d.hot);
-        }
-    }
-
-    /// Writes a core's [`HotCore`] mirror back into the core's
-    /// authoritative state.
-    fn flush_hot(&mut self, i: usize, h: &HotCore) {
-        let c = &mut self.cores[i];
-        c.clock = h.clock;
-        c.carry = h.carry;
-        c.counters.cycles = h.cycles;
-        c.counters.instrs = h.instrs;
-        c.counters.l1_accesses = h.l1_accesses;
-        c.counters.l1_hits = h.l1_hits;
-    }
-
-    /// One access of core `i`, the per-access body of both the batched
-    /// loop and [`step`](CmpSystem::step): the header math (carry/CPI/clock
-    /// and the L1 counters) runs on the caller's [`HotCore`] and the
-    /// `mem_fraction` divide is a pre-inverted multiply (`inv_mf`).
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // private hot path; the args are the drained core's state
-    fn batched_access(
-        &mut self,
-        i: usize,
-        h: &mut HotCore,
-        inv_mf: f64,
-        cpu: &cmp_trace::CpuModel,
-        addr: Addr,
-        kind: AccessKind,
-        stream: u16,
-    ) {
-        h.carry += inv_mf;
-        let n = (h.carry as u64).max(1);
-        h.carry -= n as f64;
-        h.instrs += n;
-        let dc = n as f64 * cpu.base_cpi;
-        h.clock += dc;
-        h.cycles += dc;
-        h.l1_accesses += 1;
-        let line = addr.line(self.cfg.l1.offset_bits());
-        let l1_hit = self.l1s[i].access(line).is_some();
-        let latency = if l1_hit {
-            h.l1_hits += 1;
-            if kind.is_store() {
-                // Write-through below L1 with a coalescing write buffer:
-                // the L2 copy's state is updated (dirtiness, coherence
-                // upgrade) but the buffered write does not occupy the L2 —
-                // no recency promotion, no statistics, no policy event.
-                self.upgrade_for_store(i, line);
-            }
-            0
-        } else {
-            let (lat, fill_l1) = self.l2_access(i, line, kind, stream);
-            if fill_l1 {
-                // Fill L1 (evictions are silent: write-through keeps L1 clean).
-                let set = self.cfg.l1.set_of(line);
-                let way = self.l1s[i].set(set).default_victim();
-                self.l1s[i].fill(
-                    set,
-                    way,
-                    CacheLine::demand(line, MesiState::Exclusive),
-                    InsertPos::Mru,
-                    FillKind::Demand,
-                );
-            }
-            lat
-        };
-        if !kind.is_store() && latency > 0 {
-            let stall = latency as f64 * cpu.overlap;
-            h.clock += stall;
-            h.cycles += stall;
-        }
-        self.policy.on_cycle(CoreId(i as u8), h.clock as u64);
-        if P::ACTIVE {
-            self.forward_policy_events();
-            if self.epoch_accesses > 0 && self.epoch_counter >= self.epoch_accesses {
-                self.epoch_counter -= self.epoch_accesses;
-                let snap = self.policy.snapshot();
-                self.probe.on_epoch(self.epoch_index, &snap);
-                self.epoch_index += 1;
-            }
-        }
-        #[cfg(feature = "debug-invariants")]
-        {
-            self.flush_hot(i, h);
-            self.debug_check_invariants();
-        }
-    }
-
-    /// Post-access warm-up/end/hook bookkeeping for the batched loop;
-    /// returns the pause the drain must take, if any. Snapshots are
-    /// captured from freshly flushed counters.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn batched_bookkeeping(
-        &mut self,
-        i: usize,
-        h: &HotCore,
-        instr_target: u64,
-        warmup_instrs: u64,
-        warm_base: &mut Option<u64>,
-        ended: &mut bool,
-        until_hook: &mut u64,
-    ) -> Option<Pause> {
-        if warm_base.is_none() && h.instrs >= warmup_instrs {
-            self.flush_hot(i, h);
-            let c = &mut self.cores[i];
-            c.warm_snap = Some(c.counters);
-            *warm_base = Some(c.counters.instrs);
-            if self.global_warm.is_none() && self.cores.iter().all(|c| c.warm_snap.is_some()) {
-                self.global_warm = Some(self.global);
-            }
-        }
-        if let Some(w) = *warm_base {
-            if !*ended && h.instrs - w >= instr_target {
-                self.flush_hot(i, h);
-                let c = &mut self.cores[i];
-                c.end_snap = Some(c.counters);
-                *ended = true;
-                // End snapshots never unset, so the all-done transition can
-                // only happen on the access that captures the last one —
-                // checking here is equivalent to an every-access scan.
-                if self.cores.iter().all(|c| c.end_snap.is_some()) {
-                    return Some(Pause::Done);
-                }
-            }
-        }
-        *until_hook -= 1;
-        if *until_hook == 0 {
-            return Some(Pause::Hook);
-        }
-        None
+        timing::run(self, instr_target, warmup_instrs, hook_every, hook).then(|| self.result())
     }
 
     fn result(&self) -> RunResult {
-        let cores = self
-            .cores
-            .iter()
-            .map(|c| {
-                let w = c.warm_snap.expect("run() sets snapshots");
-                let e = c.end_snap.expect("run() sets snapshots");
-                CoreResult {
-                    label: c.source.label.clone(),
-                    instrs: e.instrs - w.instrs,
-                    cycles: e.cycles - w.cycles,
-                    l2_accesses: e.l2_accesses - w.l2_accesses,
-                    l2_local_hits: e.l2_local_hits - w.l2_local_hits,
-                    l2_remote_hits: e.l2_remote_hits - w.l2_remote_hits,
-                    l2_mem: e.l2_mem - w.l2_mem,
-                    offchip_fetches: e.offchip_fetches - w.offchip_fetches,
-                    writebacks: e.writebacks - w.writebacks,
-                    l1_accesses: e.l1_accesses - w.l1_accesses,
-                    l1_hits: e.l1_hits - w.l1_hits,
-                }
-            })
-            .collect();
-        let gw = self.global_warm.unwrap_or_default();
+        self.run_result(
+            timing::rows(&self.cores),
+            self.global_warm.unwrap_or_default(),
+        )
+    }
+
+    /// The result over `cores`, with the global counters since `since`.
+    fn run_result(&self, cores: Vec<CoreResult>, since: GlobalCounters) -> RunResult {
         RunResult {
             policy: self.policy.name().to_string(),
             cores,
-            spills: self.global.spills - gw.spills,
-            swaps: self.global.swaps - gw.swaps,
-            spill_hits: self.global.spill_hits - gw.spill_hits,
+            spills: self.global.spills - since.spills,
+            swaps: self.global.swaps - since.swaps,
+            spill_hits: self.global.spill_hits - since.spill_hits,
         }
     }
 
@@ -674,41 +291,15 @@ impl<P: ObsProbe> CmpSystem<P> {
         let cores = self
             .cores
             .iter()
-            .map(|c| {
-                let e = c.counters;
-                CoreResult {
-                    label: c.source.label.clone(),
-                    instrs: e.instrs,
-                    cycles: e.cycles,
-                    l2_accesses: e.l2_accesses,
-                    l2_local_hits: e.l2_local_hits,
-                    l2_remote_hits: e.l2_remote_hits,
-                    l2_mem: e.l2_mem,
-                    offchip_fetches: e.offchip_fetches,
-                    writebacks: e.writebacks,
-                    l1_accesses: e.l1_accesses,
-                    l1_hits: e.l1_hits,
-                }
-            })
+            .map(|c| c.counters.row(&c.source.label, &Counters::default()))
             .collect();
-        RunResult {
-            policy: self.policy.name().to_string(),
-            cores,
-            spills: self.global.spills,
-            swaps: self.global.swaps,
-            spill_hits: self.global.spill_hits,
-        }
+        self.run_result(cores, GlobalCounters::default())
     }
 
     /// Advances core `i` by one memory access (public for fine-grained
     /// tests), through the batched loop's own per-access body.
     pub fn step(&mut self, i: usize) {
-        let acc = self.cores[i].source.feed.next_access();
-        let cpu = self.cores[i].source.cpu;
-        let mut h = HotCore::load(&self.cores[i]);
-        let inv_mf = 1.0 / cpu.mem_fraction;
-        self.batched_access(i, &mut h, inv_mf, &cpu, acc.addr, acc.kind, acc.stream);
-        self.flush_hot(i, &h);
+        timing::step(self, i);
     }
 
     /// Full structural-invariant sweep, run after every access under the
@@ -1177,10 +768,19 @@ impl<P: ObsProbe> CmpSystem<P> {
     }
 
     fn load_counters(r: &mut cmp_snap::SnapReader<'_>) -> Result<Counters, cmp_snap::SnapError> {
+        let head = (r.get_u64()?, r.get_f64()?, r.get_u64()?);
+        Self::load_counter_tail(r, head)
+    }
+
+    /// The counters after their `(instrs, cycles, l1_accesses)` head.
+    fn load_counter_tail(
+        r: &mut cmp_snap::SnapReader<'_>,
+        (instrs, cycles, l1_accesses): (u64, f64, u64),
+    ) -> Result<Counters, cmp_snap::SnapError> {
         Ok(Counters {
-            instrs: r.get_u64()?,
-            cycles: r.get_f64()?,
-            l1_accesses: r.get_u64()?,
+            instrs,
+            cycles,
+            l1_accesses,
             l1_hits: r.get_u64()?,
             l2_accesses: r.get_u64()?,
             l2_local_hits: r.get_u64()?,
@@ -1325,18 +925,7 @@ impl<P: ObsProbe> CmpSystem<P> {
             c.carry = cs.get_f64()?;
             let head = (cs.get_u64()?, cs.get_f64()?, cs.get_u64()?);
             let mut tail = cs.get_blob()?;
-            let counters = Counters {
-                instrs: head.0,
-                cycles: head.1,
-                l1_accesses: head.2,
-                l1_hits: tail.get_u64()?,
-                l2_accesses: tail.get_u64()?,
-                l2_local_hits: tail.get_u64()?,
-                l2_remote_hits: tail.get_u64()?,
-                l2_mem: tail.get_u64()?,
-                offchip_fetches: tail.get_u64()?,
-                writebacks: tail.get_u64()?,
-            };
+            let counters = Self::load_counter_tail(&mut tail, head)?;
             c.counters = counters;
             c.warm_snap = if tail.get_bool()? {
                 Some(Self::load_counters(&mut tail)?)
@@ -1415,6 +1004,63 @@ impl<P: ObsProbe> CmpSystem<P> {
             }
         }
         self.pf_buf = buf;
+    }
+}
+
+impl<P: ObsProbe> MemorySide for CmpSystem<P> {
+    fn cores_mut(&mut self) -> &mut [CoreState] {
+        &mut self.cores
+    }
+
+    /// One access of core `i` below the header math: the L1 probe, the
+    /// L2 access with its coherence, spill and swap traffic, the stall,
+    /// and the policy's clock and observation epochs.
+    #[inline(always)]
+    fn access(
+        &mut self,
+        i: usize,
+        h: &mut HotCore,
+        cpu: &CpuModel,
+        addr: Addr,
+        kind: AccessKind,
+        stream: u16,
+    ) {
+        let line = addr.line(self.cfg.l1.offset_bits());
+        let l1_hit = self.l1s[i].access(line).is_some();
+        let latency = if l1_hit {
+            h.l1_hits += 1;
+            if kind.is_store() {
+                // Write-through below L1 with a coalescing write buffer:
+                // the L2 copy's state is updated (dirtiness, coherence
+                // upgrade) but the buffered write does not occupy the L2 —
+                // no recency promotion, no statistics, no policy event.
+                self.upgrade_for_store(i, line);
+            }
+            0
+        } else {
+            let (lat, fill_l1) = self.l2_access(i, line, kind, stream);
+            if fill_l1 {
+                fill_l1_demand(&mut self.l1s[i], line);
+            }
+            lat
+        };
+        h.stall(kind, latency, cpu.overlap);
+        self.policy.on_cycle(CoreId(i as u8), h.clock as u64);
+        if P::ACTIVE {
+            self.forward_policy_events();
+            if self.epoch_accesses > 0 && self.epoch_counter >= self.epoch_accesses {
+                self.epoch_counter -= self.epoch_accesses;
+                let snap = self.policy.snapshot();
+                self.probe.on_epoch(self.epoch_index, &snap);
+                self.epoch_index += 1;
+            }
+        }
+        #[cfg(feature = "debug-invariants")]
+        self.debug_check_invariants();
+    }
+
+    fn on_all_warm(&mut self) {
+        self.global_warm.get_or_insert(self.global);
     }
 }
 
@@ -1608,6 +1254,15 @@ mod tests {
         assert!((r.cores[0].cpi() - r.cores[1].cpi()).abs() < 0.05);
         assert_eq!(r.spills, 0);
         assert_eq!(r.cores[0].l2_remote_hits, 0);
+    }
+
+    #[test]
+    fn a_finished_run_returns_its_result_again() {
+        let mut sys = two_core_ascc();
+        let first = sys.run_batched(10_000, 1_000);
+        let end = sys.snapshot();
+        assert_eq!(sys.run_batched(10_000, 1_000), first);
+        assert_eq!(sys.snapshot(), end, "a second run simulates nothing");
     }
 
     #[test]
