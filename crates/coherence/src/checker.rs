@@ -241,22 +241,17 @@ pub fn check_recency(caches: &[SetAssocCache]) -> Vec<InvariantViolation> {
     for (ci, cache) in caches.iter().enumerate() {
         let geom = cache.geometry();
         let ways = geom.ways() as usize;
+        let all = (1u32 << ways) - 1;
         for s in 0..geom.sets() {
-            let order: Vec<u16> = cache
-                .set(cmp_cache::SetIdx(s))
-                .recency()
-                .order()
-                .map(|w| w.0)
-                .collect();
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            let valid =
-                sorted.len() == ways && sorted.iter().enumerate().all(|(i, &w)| w as usize == i);
-            if !valid {
+            let recency = cache.set(cmp_cache::SetIdx(s)).recency();
+            // `ways` entries of at most 16 ways cover every way exactly
+            // once iff together they set every bit of the mask.
+            let seen = recency.order().fold(0u32, |m, w| m | 1 << w.0);
+            if recency.ways() as usize != ways || seen != all {
                 out.push(InvariantViolation::BadRecency {
                     cache: ci,
                     set: s,
-                    order,
+                    order: recency.order().map(|w| w.0).collect(),
                 });
             }
         }

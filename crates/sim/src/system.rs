@@ -768,19 +768,10 @@ impl<P: ObsProbe> CmpSystem<P> {
     }
 
     fn load_counters(r: &mut cmp_snap::SnapReader<'_>) -> Result<Counters, cmp_snap::SnapError> {
-        let head = (r.get_u64()?, r.get_f64()?, r.get_u64()?);
-        Self::load_counter_tail(r, head)
-    }
-
-    /// The counters after their `(instrs, cycles, l1_accesses)` head.
-    fn load_counter_tail(
-        r: &mut cmp_snap::SnapReader<'_>,
-        (instrs, cycles, l1_accesses): (u64, f64, u64),
-    ) -> Result<Counters, cmp_snap::SnapError> {
         Ok(Counters {
-            instrs,
-            cycles,
-            l1_accesses,
+            instrs: r.get_u64()?,
+            cycles: r.get_f64()?,
+            l1_accesses: r.get_u64()?,
             l1_hits: r.get_u64()?,
             l2_accesses: r.get_u64()?,
             l2_local_hits: r.get_u64()?,
@@ -925,7 +916,18 @@ impl<P: ObsProbe> CmpSystem<P> {
             c.carry = cs.get_f64()?;
             let head = (cs.get_u64()?, cs.get_f64()?, cs.get_u64()?);
             let mut tail = cs.get_blob()?;
-            let counters = Self::load_counter_tail(&mut tail, head)?;
+            let counters = Counters {
+                instrs: head.0,
+                cycles: head.1,
+                l1_accesses: head.2,
+                l1_hits: tail.get_u64()?,
+                l2_accesses: tail.get_u64()?,
+                l2_local_hits: tail.get_u64()?,
+                l2_remote_hits: tail.get_u64()?,
+                l2_mem: tail.get_u64()?,
+                offchip_fetches: tail.get_u64()?,
+                writebacks: tail.get_u64()?,
+            };
             c.counters = counters;
             c.warm_snap = if tail.get_bool()? {
                 Some(Self::load_counters(&mut tail)?)
