@@ -14,9 +14,10 @@ use ascc::{ArcConfig, AsccConfig, AvgccConfig, RdcbConfig, TinyLfuConfig};
 use cmp_cache::{CacheGeometry, LlcPolicy, PrivateBaseline};
 use cmp_json::Value;
 use cmp_sim::{
-    mix_sources, run_mix, CmpSystem, RunResult, SharedConfig, SharedLlcSystem, SystemConfig,
+    mix_sources, run_mix, CmpSystem, CoreResult, RunResult, SharedConfig, SharedLlcSystem, SoloRun,
+    SystemConfig,
 };
-use cmp_trace::{mixes_for, two_app_mixes};
+use cmp_trace::{mixes_for, two_app_mixes, SpecBench};
 use spill_baselines::{DsrConfig, DsrDipPolicy, EccConfig};
 
 const INSTRS: u64 = 80_000;
@@ -77,29 +78,27 @@ fn run_to_json(r: &RunResult) -> Value {
         .insert("policy", r.policy.clone())
         .insert(
             "cores",
-            Value::Array(
-                r.cores
-                    .iter()
-                    .map(|c| {
-                        Value::object()
-                            .insert("label", c.label.clone())
-                            .insert("instrs", c.instrs as f64)
-                            .insert("cycles_bits", format!("{:016x}", c.cycles.to_bits()))
-                            .insert("l2_accesses", c.l2_accesses as f64)
-                            .insert("l2_local_hits", c.l2_local_hits as f64)
-                            .insert("l2_remote_hits", c.l2_remote_hits as f64)
-                            .insert("l2_mem", c.l2_mem as f64)
-                            .insert("offchip_fetches", c.offchip_fetches as f64)
-                            .insert("writebacks", c.writebacks as f64)
-                            .insert("l1_accesses", c.l1_accesses as f64)
-                            .insert("l1_hits", c.l1_hits as f64)
-                    })
-                    .collect(),
-            ),
+            Value::Array(r.cores.iter().map(core_to_json).collect()),
         )
         .insert("spills", r.spills as f64)
         .insert("swaps", r.swaps as f64)
         .insert("spill_hits", r.spill_hits as f64)
+}
+
+/// One core's row: every counter exactly, cycles as bits.
+fn core_to_json(c: &CoreResult) -> Value {
+    Value::object()
+        .insert("label", c.label.clone())
+        .insert("instrs", c.instrs as f64)
+        .insert("cycles_bits", format!("{:016x}", c.cycles.to_bits()))
+        .insert("l2_accesses", c.l2_accesses as f64)
+        .insert("l2_local_hits", c.l2_local_hits as f64)
+        .insert("l2_remote_hits", c.l2_remote_hits as f64)
+        .insert("l2_mem", c.l2_mem as f64)
+        .insert("offchip_fetches", c.offchip_fetches as f64)
+        .insert("writebacks", c.writebacks as f64)
+        .insert("l1_accesses", c.l1_accesses as f64)
+        .insert("l1_hits", c.l1_hits as f64)
 }
 
 fn capture() -> Value {
@@ -320,5 +319,69 @@ fn shared_llc_matches_goldens() {
         got, want,
         "shared-LLC output diverged from the goldens; if the behaviour \
          change is deliberate, regenerate with ASCC_BLESS=1"
+    );
+}
+
+// ----- fully associative solo goldens (Fig. 1's FA column) ---------------
+
+const FA_INSTRS: u64 = 200_000;
+const FA_WARMUP: u64 = 50_000;
+
+fn solo_fa_golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/solo_fa_identity.json")
+}
+
+/// Every SPEC model alone on the Table-2 L1 over a fully associative LLC
+/// of 2048 lines (small enough to evict) and of Fig. 1's 65536 lines.
+fn capture_solo_fa() -> Value {
+    let cfg = SystemConfig::table2(1);
+    let sizes: Vec<Value> = [2048usize, 65536]
+        .iter()
+        .map(|&lines| {
+            let runs: Vec<Value> = SpecBench::ALL
+                .iter()
+                .map(|&b| {
+                    let r = SoloRun::new(b)
+                        .instructions(FA_INSTRS)
+                        .warmup(FA_WARMUP)
+                        .seed(SEED)
+                        .run_fully_assoc(&cfg, lines);
+                    core_to_json(&r)
+                })
+                .collect();
+            Value::object()
+                .insert("lines", lines as f64)
+                .insert("runs", Value::Array(runs))
+        })
+        .collect();
+    Value::object()
+        .insert("instrs", FA_INSTRS as f64)
+        .insert("warmup", FA_WARMUP as f64)
+        .insert("seed", SEED as f64)
+        .insert("sizes", Value::Array(sizes))
+}
+
+/// Pins `SoloRun::run_fully_assoc` to the bit for every SPEC model at two
+/// fully associative LLC sizes.
+#[test]
+fn solo_fully_assoc_matches_goldens() {
+    let got = capture_solo_fa().pretty();
+    let path = solo_fa_golden_path();
+    if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with ASCC_BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got, want,
+        "fully associative solo output diverged from the goldens; if the \
+         behaviour change is deliberate, regenerate with ASCC_BLESS=1"
     );
 }
