@@ -3,13 +3,12 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
-use crate::system::CmpSystem;
-use cmp_cache::{
-    AccessKind, CacheGeometry, CacheLine, FillKind, FullyAssocLru, InsertPos, LlcPolicy, MesiState,
-    PrivateBaseline, SetAssocCache,
-};
+use crate::system::{fill_l1_demand, CmpSystem};
+use crate::timing::{self, CoreState, HotCore, MemorySide};
+use cmp_cache::{AccessKind, Addr, FullyAssocLru, LlcPolicy, PrivateBaseline, SetAssocCache};
 use cmp_trace::{
-    CoreSource, CoreWorkload, ParallelBench, SharingSpec, SpecBench, TenantScenario, WorkloadMix,
+    CoreSource, CoreWorkload, CpuModel, ParallelBench, SharingSpec, SpecBench, TenantScenario,
+    WorkloadMix,
 };
 
 /// Each core owns a disjoint `2^40`-byte region of the physical address
@@ -379,16 +378,15 @@ impl SoloRun {
     /// geometry and L2/memory latencies come from `cfg`; its L2 geometry
     /// is ignored.
     pub fn run_fully_assoc(&self, cfg: &SystemConfig, l2_lines: usize) -> CoreResult {
-        solo_fully_assoc(
-            cfg.l1,
-            l2_lines,
-            cfg.lat_l2_local,
-            cfg.lat_mem,
-            self.bench,
-            self.instr_target,
-            self.warmup,
-            self.seed,
-        )
+        let mut sys = FullyAssocSystem {
+            core: CoreState::new(self.bench.source(0, self.seed)),
+            l1: SetAssocCache::new(cfg.l1),
+            l2: FullyAssocLru::new(l2_lines),
+            lat_l2: cfg.lat_l2_local,
+            lat_mem: cfg.lat_mem,
+        };
+        timing::run(&mut sys, self.instr_target, self.warmup, 0, |_| true);
+        timing::rows(std::slice::from_ref(&sys.core)).remove(0)
     }
 }
 
@@ -410,122 +408,70 @@ pub fn run_solo(
         .run(cfg)
 }
 
-#[allow(clippy::too_many_arguments)] // private engine; the public API is SoloRun
-fn solo_fully_assoc(
-    l1: CacheGeometry,
-    l2_lines: usize,
+/// One core over an L1 and a fully associative LRU LLC, on the same
+/// timing model and drain loop as [`CmpSystem`]. LLC accesses, hits and
+/// misses count as `l2_accesses`, `l2_local_hits` and `l2_mem`.
+struct FullyAssocSystem {
+    core: CoreState,
+    l1: SetAssocCache,
+    l2: FullyAssocLru,
     lat_l2: u32,
     lat_mem: u32,
-    bench: SpecBench,
-    instr_target: u64,
-    warmup: u64,
-    seed: u64,
-) -> CoreResult {
-    let mut w = bench.source(0, seed);
-    let mut l1c = SetAssocCache::new(l1);
-    let mut l2 = FullyAssocLru::new(l2_lines);
-    let mut instrs = 0u64;
-    let mut cycles = 0.0f64;
-    let mut carry = 0.0f64;
-    let mut cnt = CoreResult {
-        label: w.label.clone(),
-        instrs: 0,
-        cycles: 0.0,
-        l2_accesses: 0,
-        l2_local_hits: 0,
-        l2_remote_hits: 0,
-        l2_mem: 0,
-        offchip_fetches: 0,
-        writebacks: 0,
-        l1_accesses: 0,
-        l1_hits: 0,
-    };
-    let mut measuring = false;
-    let mut start = (0u64, 0.0f64, 0u64, 0u64, 0u64, 0u64, 0u64);
-    loop {
-        let acc = w.feed.next_access();
-        carry += 1.0 / w.cpu.mem_fraction;
-        let n = (carry as u64).max(1);
-        carry -= n as f64;
-        instrs += n;
-        cycles += n as f64 * w.cpu.base_cpi;
-        cnt.l1_accesses += 1;
-        let line = acc.addr.line(l1.offset_bits());
-        let latency = if l1c.access(line).is_some() {
-            cnt.l1_hits += 1;
-            if acc.kind == AccessKind::Store {
+}
+
+impl MemorySide for FullyAssocSystem {
+    fn cores_mut(&mut self) -> &mut [CoreState] {
+        std::slice::from_mut(&mut self.core)
+    }
+
+    fn access(
+        &mut self,
+        _i: usize,
+        h: &mut HotCore,
+        cpu: &CpuModel,
+        addr: Addr,
+        kind: AccessKind,
+        _stream: u16,
+    ) {
+        let line = addr.line(self.l1.geometry().offset_bits());
+        let cnt = &mut self.core.counters;
+        let latency = if self.l1.access(line).is_some() {
+            h.l1_hits += 1;
+            if kind.is_store() {
                 cnt.l2_accesses += 1;
-                l2.access(line); // write-through touch
+                self.l2.access(line); // write-through touch
                 cnt.l2_local_hits += 1;
             }
             0
         } else {
             cnt.l2_accesses += 1;
-            let lat = if l2.access(line).is_hit() {
+            let lat = if self.l2.access(line).is_hit() {
                 cnt.l2_local_hits += 1;
-                lat_l2
+                self.lat_l2
             } else {
                 cnt.l2_mem += 1;
                 cnt.offchip_fetches += 1;
-                lat_mem
+                self.lat_mem
             };
-            let set = l1.set_of(line);
-            let way = l1c.set(set).default_victim();
-            l1c.fill(
-                set,
-                way,
-                CacheLine::demand(line, MesiState::Exclusive),
-                InsertPos::Mru,
-                FillKind::Demand,
-            );
-            if acc.kind == AccessKind::Store {
+            fill_l1_demand(&mut self.l1, line);
+            if kind.is_store() {
                 // The store itself still writes through to L2, exactly as
                 // on the L1-hit path (the refill above only fetched the
-                // line); without this, store-heavy runs undercount L2
-                // accesses whenever stores miss L1.
+                // line).
                 cnt.l2_accesses += 1;
-                l2.access(line);
+                self.l2.access(line);
                 cnt.l2_local_hits += 1;
             }
             lat
         };
-        if acc.kind == AccessKind::Load && latency > 0 {
-            cycles += latency as f64 * w.cpu.overlap;
-        }
-        if !measuring && instrs >= warmup {
-            measuring = true;
-            start = (
-                instrs,
-                cycles,
-                cnt.l2_accesses,
-                cnt.l2_local_hits,
-                cnt.l2_mem,
-                cnt.l1_accesses,
-                cnt.l1_hits,
-            );
-        }
-        if measuring && instrs - start.0 >= instr_target {
-            break;
-        }
-    }
-    CoreResult {
-        label: cnt.label,
-        instrs: instrs - start.0,
-        cycles: cycles - start.1,
-        l2_accesses: cnt.l2_accesses - start.2,
-        l2_local_hits: cnt.l2_local_hits - start.3,
-        l2_remote_hits: 0,
-        l2_mem: cnt.l2_mem - start.4,
-        offchip_fetches: cnt.l2_mem - start.4,
-        writebacks: 0,
-        l1_accesses: cnt.l1_accesses - start.5,
-        l1_hits: cnt.l1_hits - start.6,
+        h.stall(kind, latency, cpu.overlap);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmp_cache::{CacheGeometry, CacheLine, FillKind, InsertPos, MesiState};
     use cmp_trace::two_app_mixes;
 
     #[test]
@@ -560,7 +506,13 @@ mod tests {
         // touch and this equality did not hold.
         let l1 = CacheGeometry::new(1, 1, 32).unwrap();
         let (bench, instr_target, warmup, seed) = (SpecBench::Bzip2, 100_000u64, 10_000u64, 9u64);
-        let fa = solo_fully_assoc(l1, 64, 10, 100, bench, instr_target, warmup, seed);
+        let mut cfg = SystemConfig::table2(1);
+        cfg.l1 = l1;
+        let fa = SoloRun::new(bench)
+            .instructions(instr_target)
+            .warmup(warmup)
+            .seed(seed)
+            .run_fully_assoc(&cfg, 64);
 
         let mut w = bench.workload(0, seed);
         let mut l1c = SetAssocCache::new(l1);
