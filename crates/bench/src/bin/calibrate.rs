@@ -5,7 +5,7 @@
 //! experiment built on the same data.
 
 use ascc_bench::{parallel_map, print_table, Scale};
-use cmp_sim::{run_solo, SystemConfig};
+use cmp_sim::{SoloRun, SystemConfig};
 use cmp_trace::SpecBench;
 
 fn main() {
@@ -16,7 +16,11 @@ fn main() {
     );
     let rows = parallel_map(SpecBench::ALL.to_vec(), |b| {
         let cfg = SystemConfig::table2(1);
-        let r = run_solo(&cfg, b, scale.instrs, scale.warmup, scale.seed);
+        let r = SoloRun::new(b)
+            .instructions(scale.instrs)
+            .warmup(scale.warmup)
+            .seed(scale.seed)
+            .run(&cfg);
         vec![
             b.name().to_string(),
             format!("{:.2}", r.l2_mpki()),

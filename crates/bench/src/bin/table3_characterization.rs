@@ -2,14 +2,18 @@
 //! benchmark running alone on the baseline.
 
 use ascc_bench::{parallel_map, print_table, ExperimentRecord, Scale};
-use cmp_sim::{run_solo, SystemConfig};
+use cmp_sim::{SoloRun, SystemConfig};
 use cmp_trace::SpecBench;
 
 fn main() {
     let scale = Scale::from_env();
     let results = parallel_map(SpecBench::ALL.to_vec(), |b| {
         let cfg = SystemConfig::table2(1);
-        let r = run_solo(&cfg, b, scale.instrs, scale.warmup, scale.seed);
+        let r = SoloRun::new(b)
+            .instructions(scale.instrs)
+            .warmup(scale.warmup)
+            .seed(scale.seed)
+            .run(&cfg);
         (b, r.l2_mpki(), r.cpi())
     });
     println!("== Table 3: benchmark characterisation (solo, Table 2 baseline) ==\n");

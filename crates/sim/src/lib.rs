@@ -56,8 +56,8 @@ pub use metrics::{
 };
 pub use obs::{snapshot_json, Epoch, EpochCounts, EpochRecorder};
 pub use runner::{
-    core_seed, mix_sources, mix_workloads, run_mix, run_mix_with, run_sharing, run_solo,
-    run_sources_with, run_tenant, tenant_sources, Checkpointing, SoloRun, CORE_SPACE_BITS,
+    core_seed, mix_sources, mix_workloads, run_mix, run_mix_with, run_sharing, run_sources_with,
+    run_tenant, tenant_sources, Checkpointing, SoloRun, CORE_SPACE_BITS,
 };
 pub use shared::{SharedConfig, SharedLlcSystem};
 pub use sweep::{CancelToken, SweepPool};

@@ -1,5 +1,7 @@
 //! Convenience runners: mixes → systems, solo runs, and the
-//! fully-associative single-core run used by Fig. 1's last column.
+//! fully-associative single-core run used by Fig. 1's last column. Every
+//! run, the fully associative one included, goes through the drain loop
+//! of [`crate::timing`].
 
 use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
@@ -301,8 +303,7 @@ impl Checkpointing {
 /// Specification of a single-benchmark characterisation run (Table 3 /
 /// Fig. 1): which benchmark, how long to measure, warmup and seed.
 ///
-/// Replaces the former 8-argument `run_solo_fully_assoc` free function:
-/// build the spec once, then dispatch it against a set-associative system
+/// Build the spec once, then dispatch it against a set-associative system
 /// ([`SoloRun::run`]) or a fully associative LLC of the same capacity
 /// ([`SoloRun::run_fully_assoc`]).
 ///
@@ -379,6 +380,14 @@ impl SoloRun {
     /// `l2_lines` lines — Fig. 1's "full associativity" column. The L1
     /// geometry and L2/memory latencies come from `cfg`; its L2 geometry
     /// is ignored.
+    ///
+    /// The hierarchy follows [`CmpSystem`]'s rules, so the only change
+    /// from [`SoloRun::run`] is the LLC's associativity: a store that
+    /// hits L1 is buffered and does not touch the LLC, an L1 miss is one
+    /// LLC access, and the LLC is inclusive (its victim leaves the L1).
+    /// An LLC of `W` lines behaves exactly as a one-set, `W`-way private
+    /// L2 under [`PrivateBaseline`], except that it counts no
+    /// write-backs: it tracks no dirtiness.
     pub fn run_fully_assoc(&self, cfg: &SystemConfig, l2_lines: usize) -> CoreResult {
         let mut sys = FullyAssocSystem {
             core: CoreState::new(self.bench.source(0, self.seed)),
@@ -390,24 +399,6 @@ impl SoloRun {
         timing::run(&mut sys, self.instr_target, self.warmup, 0, |_| true);
         timing::rows(std::slice::from_ref(&sys.core)).remove(0)
     }
-}
-
-/// Runs one benchmark alone on a single-core system (Table 3 / Fig. 1
-/// characterisation). The L2 geometry comes from `cfg`.
-///
-/// Convenience wrapper over [`SoloRun`].
-pub fn run_solo(
-    cfg: &SystemConfig,
-    bench: SpecBench,
-    instr_target: u64,
-    warmup: u64,
-    seed: u64,
-) -> CoreResult {
-    SoloRun::new(bench)
-        .instructions(instr_target)
-        .warmup(warmup)
-        .seed(seed)
-        .run(cfg)
 }
 
 /// One core over an L1 and a fully associative LRU LLC, on the same
@@ -498,7 +489,11 @@ mod tests {
     fn solo_run_produces_stats() {
         let mut cfg = SystemConfig::table2(1);
         cfg.l2 = CacheGeometry::from_capacity(64 << 10, 8, 32).unwrap();
-        let r = run_solo(&cfg, SpecBench::Namd, 200_000, 50_000, 3);
+        let r = SoloRun::new(SpecBench::Namd)
+            .instructions(200_000)
+            .warmup(50_000)
+            .seed(3)
+            .run(&cfg);
         assert!(r.instrs >= 200_000);
         // namd's 160 kB hot loop cannot fit this shrunken 64 kB L2, so the
         // CPI is memory-bound here; just check it is finite and sensible.

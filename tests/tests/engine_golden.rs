@@ -364,7 +364,7 @@ fn capture_solo_fa() -> Value {
 /// Pins `SoloRun::run_fully_assoc` to the bit for every SPEC model at two
 /// fully associative LLC sizes.
 #[test]
-fn solo_fully_assoc_matches_goldens() {
+fn solo_fa_matches_goldens() {
     let got = capture_solo_fa().pretty();
     let path = solo_fa_golden_path();
     if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
