@@ -5,7 +5,9 @@
 //! the test asserts that a short run of every policy still produces exactly
 //! the same `RunResult` — down to the bit pattern of the cycle counts — so
 //! any layout or recency-encoding change that alters simulated behaviour is
-//! caught immediately.
+//! caught immediately. Further goldens pin the wide engine, the shared LLC,
+//! the fully associative solo run and, for observed runs, the epoch
+//! recorder's whole recording.
 //!
 //! Regenerate (only when a *deliberate* behaviour change is made) with:
 //! `ASCC_BLESS=1 cargo test -p ascc-integration --test engine_golden`.
@@ -14,18 +16,39 @@ use ascc::{ArcConfig, AsccConfig, AvgccConfig, RdcbConfig, TinyLfuConfig};
 use cmp_cache::{CacheGeometry, LlcPolicy, PrivateBaseline};
 use cmp_json::Value;
 use cmp_sim::{
-    mix_sources, run_mix, CmpSystem, CoreResult, RunResult, SharedConfig, SharedLlcSystem, SoloRun,
-    SystemConfig,
+    mix_sources, run_mix, CmpSystem, CoreResult, EpochRecorder, RunResult, SharedConfig,
+    SharedLlcSystem, SoloRun, SystemConfig,
 };
-use cmp_trace::{mixes_for, two_app_mixes, SpecBench};
+use cmp_trace::{mixes_for, two_app_mixes, CoreSource, ParallelBench, SharingSpec, SpecBench};
 use spill_baselines::{DsrConfig, DsrDipPolicy, EccConfig};
 
 const INSTRS: u64 = 80_000;
 const WARMUP: u64 = 20_000;
 const SEED: u64 = 7;
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/engine_bit_identity.json")
+/// Compares `got` with the committed golden `tests/golden/<file>`, or
+/// rewrites the golden when `ASCC_BLESS` is set (and not `0`).
+fn check_golden(file: &str, got: Value, what: &str) {
+    let got = got.pretty();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join(file);
+    if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with ASCC_BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got, want,
+        "{what}; if the behaviour change is deliberate, regenerate with ASCC_BLESS=1"
+    );
 }
 
 /// Small 2-core system: the 16 kB L2 forces real evictions and spills so
@@ -156,10 +179,6 @@ fn mid_run_restore_matches_golden_runs() {
 const WIDE_INSTRS: u64 = 30_000;
 const WIDE_WARMUP: u64 = 10_000;
 
-fn wide_golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/engine_wide_identity.json")
-}
-
 /// The 2-core golden config widened: same small caches so the cluster-aware
 /// spill paths (>8 cores route ties to the spiller's cluster) see real
 /// pressure at every width. Above 32 cores the L2 doubles to 256 sets, the
@@ -217,55 +236,23 @@ fn capture_wide() -> Value {
 /// deepest (six-level) shapes against it.
 #[test]
 fn wide_engine_matches_goldens_and_fabrics_agree() {
-    let got = capture_wide().pretty();
-    let path = wide_golden_path();
-    if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with ASCC_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "wide-engine output diverged from the goldens; if the behaviour \
-         change is deliberate, regenerate with ASCC_BLESS=1"
+    check_golden(
+        "engine_wide_identity.json",
+        capture_wide(),
+        "wide-engine output diverged from the goldens",
     );
 }
 
 #[test]
 fn engine_matches_seed_goldens() {
-    let got = capture().pretty();
-    let path = golden_path();
-    if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with ASCC_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "engine output diverged from the seed goldens; if the behaviour \
-         change is deliberate, regenerate with ASCC_BLESS=1"
+    check_golden(
+        "engine_bit_identity.json",
+        capture(),
+        "engine output diverged from the seed goldens",
     );
 }
 
 // ----- shared-LLC goldens (2, 4, 12 and 64 cores) ------------------------
-
-fn shared_golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/shared_llc_identity.json")
-}
 
 /// The §6.1 shared-LLC system at the golden configs' aggregate capacity.
 /// The aggregate LLC needs a power-of-two set count, so the 12-core run
@@ -301,24 +288,10 @@ fn capture_shared() -> Value {
 /// padded to 16) and 64 cores (the six-level scheduler tree).
 #[test]
 fn shared_llc_matches_goldens() {
-    let got = capture_shared().pretty();
-    let path = shared_golden_path();
-    if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with ASCC_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "shared-LLC output diverged from the goldens; if the behaviour \
-         change is deliberate, regenerate with ASCC_BLESS=1"
+    check_golden(
+        "shared_llc_identity.json",
+        capture_shared(),
+        "shared-LLC output diverged from the goldens",
     );
 }
 
@@ -326,10 +299,6 @@ fn shared_llc_matches_goldens() {
 
 const FA_INSTRS: u64 = 200_000;
 const FA_WARMUP: u64 = 50_000;
-
-fn solo_fa_golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/solo_fa_identity.json")
-}
 
 /// Every SPEC model alone on the Table-2 L1 over a fully associative LLC
 /// of 2048 lines (small enough to evict) and of Fig. 1's 65536 lines.
@@ -365,23 +334,111 @@ fn capture_solo_fa() -> Value {
 /// fully associative LLC sizes.
 #[test]
 fn solo_fa_matches_goldens() {
-    let got = capture_solo_fa().pretty();
-    let path = solo_fa_golden_path();
-    if std::env::var("ASCC_BLESS").is_ok_and(|v| v != "0") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with ASCC_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "fully associative solo output diverged from the goldens; if the \
-         behaviour change is deliberate, regenerate with ASCC_BLESS=1"
+    check_golden(
+        "solo_fa_identity.json",
+        capture_solo_fa(),
+        "fully associative solo output diverged from the goldens",
+    );
+}
+
+// ----- observed-engine goldens (the epoch recorder's full recording) -----
+
+/// Long enough for the 2-core mix to spill; the 4-thread sharing run
+/// reaches L2 far more often, so a quarter of it fills as many epochs.
+const REC_INSTRS: u64 = 400_000;
+const REC_WARMUP: u64 = 100_000;
+const REC_MT_INSTRS: u64 = 100_000;
+const REC_MT_WARMUP: u64 = 25_000;
+const REC_EPOCH: u64 = 2_000;
+
+/// One observed run: the recorder's whole JSON (epochs, counts, policy
+/// snapshots) and the system's lifetime counters, which the event stream
+/// reconciles against.
+fn record(
+    cfg: &SystemConfig,
+    policy: Box<dyn LlcPolicy>,
+    sources: Vec<CoreSource>,
+    (instrs, warmup): (u64, u64),
+) -> Value {
+    let mut rec = EpochRecorder::new(cfg.cores);
+    let mut sys = CmpSystem::with_probe_sources(cfg.clone(), policy, sources, &mut rec, REC_EPOCH);
+    sys.run_batched(instrs, warmup);
+    let life = run_to_json(&sys.lifetime_result());
+    drop(sys);
+    rec.finish();
+    Value::object()
+        .insert("lifetime", life)
+        .insert("recording", rec.to_json())
+}
+
+/// QoS-AVGCC with a short QoS epoch, so ratio updates fire within the run.
+fn qos_avgcc(cfg: &SystemConfig) -> Box<dyn LlcPolicy> {
+    let mut c = AvgccConfig::qos_avgcc(cfg.cores, cfg.l2.sets(), cfg.l2.ways());
+    c.qos_epoch_cycles = 4_096;
+    Box::new(c.build())
+}
+
+fn capture_recordings() -> Value {
+    let cfg = SystemConfig::table2(2);
+    let (sets, ways) = (cfg.l2.sets(), cfg.l2.ways());
+    let mix = &two_app_mixes()[0];
+    let policies: [(&str, Box<dyn LlcPolicy>); 3] = [
+        ("ASCC", Box::new(AsccConfig::ascc(2, sets, ways).build())),
+        ("AVGCC", Box::new(AvgccConfig::avgcc(2, sets, ways).build())),
+        ("QoS-AVGCC", qos_avgcc(&cfg)),
+    ];
+    let mut runs: Vec<Value> = policies
+        .into_iter()
+        .map(|(name, policy)| {
+            Value::object()
+                .insert("name", name)
+                .insert("workload", mix.name.clone())
+                .insert(
+                    "run",
+                    record(
+                        &cfg,
+                        policy,
+                        mix_sources(mix, SEED),
+                        (REC_INSTRS, REC_WARMUP),
+                    ),
+                )
+        })
+        .collect();
+    // Replicate reads downgrade a Modified supplier between its store hits.
+    let mt = SystemConfig::multithreaded(4);
+    let fft = ParallelBench::Fft.workloads_sharing(4, SEED, SharingSpec::read_write(0.5));
+    runs.push(
+        Value::object()
+            .insert("name", "QoS-AVGCC")
+            .insert("workload", "fft read_write(0.5)")
+            .insert("instrs", REC_MT_INSTRS as f64)
+            .insert("warmup", REC_MT_WARMUP as f64)
+            .insert(
+                "run",
+                record(
+                    &mt,
+                    qos_avgcc(&mt),
+                    fft.into_iter().map(Into::into).collect(),
+                    (REC_MT_INSTRS, REC_MT_WARMUP),
+                ),
+            ),
+    );
+    Value::object()
+        .insert("instrs", REC_INSTRS as f64)
+        .insert("warmup", REC_WARMUP as f64)
+        .insert("epoch_accesses", REC_EPOCH as f64)
+        .insert("seed", SEED as f64)
+        .insert("runs", Value::Array(runs))
+}
+
+/// Pins an observed run to the event: every epoch's counts and policy
+/// snapshot, for ASCC, AVGCC and QoS-AVGCC on a 2-core mix and QoS-AVGCC
+/// on a read-write-shared 4-thread workload.
+#[test]
+fn recordings_match_goldens() {
+    check_golden(
+        "recording_identity.json",
+        capture_recordings(),
+        "observed-engine recording diverged from the goldens",
     );
 }
