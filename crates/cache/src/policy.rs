@@ -121,8 +121,10 @@ pub fn pick_receiver<R: Rng + ?Sized>(candidates: u64, rng: &mut R) -> Option<Co
 /// 4. [`spill_insert_pos`](LlcPolicy::spill_insert_pos) and
 ///    [`choose_victim`](LlcPolicy::choose_victim) (with
 ///    [`FillKind::Spill`]) on the receiving side;
-/// 5. [`on_cycle`](LlcPolicy::on_cycle) periodically with the owning core's
-///    clock, for cycle-based epochs such as the QoS recalculation.
+/// 5. [`on_cycle`](LlcPolicy::on_cycle) with the owning core's clock after
+///    that core's access, once the clock reaches the cycle the previous
+///    call returned (the first call comes on the core's first access), for
+///    cycle-based epochs such as the QoS recalculation.
 pub trait LlcPolicy {
     /// Human-readable policy name, used in experiment tables.
     fn name(&self) -> &str;
@@ -260,10 +262,17 @@ pub trait LlcPolicy {
         let _ = (owner, set, was_spilled);
     }
 
-    /// Periodic hook with `core`'s current cycle count (for cycle-based
+    /// Clock hook with `core`'s current cycle count (for cycle-based
     /// epochs, e.g. the QoS ratio recomputation every 100 000 cycles).
-    fn on_cycle(&mut self, core: CoreId, cycles: u64) {
+    ///
+    /// Returns the cycle at which the policy must next see `core`'s clock:
+    /// the simulator calls again after the first of `core`'s accesses that
+    /// ends at or past it. A call before that cycle must leave the policy
+    /// unchanged, since the simulator skips it. The default, for policies
+    /// without clock work, returns `u64::MAX`: never again.
+    fn on_cycle(&mut self, core: CoreId, cycles: u64) -> u64 {
         let _ = (core, cycles);
+        u64::MAX
     }
 
     /// Self-checks the policy's internal invariants (counter ranges, role

@@ -562,14 +562,17 @@ impl LlcPolicy for AvgccPolicy {
         out
     }
 
-    fn on_cycle(&mut self, core: CoreId, cycles: u64) {
+    /// Recomputes `core`'s QoS ratio once `qos_epoch_cycles` have passed
+    /// since the last recomputation; returns the cycle that is due next.
+    fn on_cycle(&mut self, core: CoreId, cycles: u64) -> u64 {
         if !self.cfg.qos {
-            return;
+            return u64::MAX;
         }
         let sets = self.cfg.sets;
+        let epoch = self.cfg.qos_epoch_cycles;
         let c = &mut self.caches[core.index()];
-        if cycles.saturating_sub(c.qos.last_cycle) < self.cfg.qos_epoch_cycles {
-            return;
+        if cycles.saturating_sub(c.qos.last_cycle) < epoch {
+            return c.qos.last_cycle.saturating_add(epoch);
         }
         c.qos.last_cycle = cycles;
         // Estimate the baseline's misses from the sampled sets (Eq. 1).
@@ -592,6 +595,7 @@ impl LlcPolicy for AvgccPolicy {
         if self.observed {
             self.events.push(ObsEvent::QosRatioUpdate { core, ratio });
         }
+        cycles.saturating_add(epoch)
     }
 
     fn snapshot(&self) -> PolicySnapshot {

@@ -254,8 +254,8 @@ impl LlcPolicy for RdcbPolicy {
         self.inner.note_remote_hit(owner, set, was_spilled);
     }
 
-    fn on_cycle(&mut self, core: CoreId, cycles: u64) {
-        self.inner.on_cycle(core, cycles);
+    fn on_cycle(&mut self, core: CoreId, cycles: u64) -> u64 {
+        self.inner.on_cycle(core, cycles)
     }
 
     fn check_invariants(&self) -> Vec<String> {

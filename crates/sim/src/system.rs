@@ -18,9 +18,9 @@ use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
 use crate::timing::{self, CoreState, Counters, HotCore, MemorySide};
 use cmp_cache::{
-    AccessKind, AccessOutcome, Addr, CacheLine, CoreId, FillKind, InsertPos, LineAddr, LlcPolicy,
-    MesiState, NullProbe, ObsEvent, ObsProbe, SetAssocCache, SetIdx, SpillDecision, SpillVictim,
-    StridePrefetcher,
+    AccessKind, AccessOutcome, Addr, CacheGeometry, CacheLine, CoreId, FillKind, InsertPos,
+    LineAddr, LlcPolicy, MesiState, NullProbe, ObsEvent, ObsProbe, SetAssocCache, SetIdx,
+    SpillDecision, SpillVictim, StridePrefetcher, WayIdx,
 };
 use cmp_coherence::{DirectoryFabric, ReadPolicy};
 use cmp_trace::{CoreSource, CpuModel};
@@ -47,14 +47,70 @@ pub(crate) fn inclusion_violations<'a>(
     out
 }
 
-/// Demand-fills `line` into an L1 at MRU. The victim leaves silently:
-/// write-through keeps L1 clean.
+/// Demand-fills `line` into an L1 at MRU and returns the filled slot. The
+/// victim leaves silently: write-through keeps L1 clean.
 #[inline(always)]
-pub(crate) fn fill_l1_demand(l1: &mut SetAssocCache, line: LineAddr) {
+pub(crate) fn fill_l1_demand(l1: &mut SetAssocCache, line: LineAddr) -> (SetIdx, WayIdx) {
     let set = l1.geometry().set_of(line);
     let way = l1.set(set).default_victim();
     let demand = CacheLine::demand(line, MesiState::Exclusive);
     l1.fill(set, way, demand, InsertPos::Mru, FillKind::Demand);
+    (set, way)
+}
+
+/// One bit per core and L1 slot (`set * ways + way`), set when the slot's
+/// line is known to be Modified in that core's L2, so a store hitting it
+/// in L1 has no coherence work to do and skips the L2 probe.
+///
+/// A bit is set only by a store hit that found (or made) the L2 copy
+/// Modified, and cleared when [`fill_l1_demand`] refills its slot or a
+/// Replicate read downgrades the supplier's copy. Every other way an L2
+/// copy stops being Modified (eviction, migration, a peer's write)
+/// invalidates the L1 line, and an invalid slot turns valid again only
+/// through a refill, so a bit over an invalid slot is stale but never
+/// read. Derived state: not snapshotted, cleared on restore.
+struct ModifiedSlots {
+    bits: Vec<u64>,
+    ways: usize,
+    /// Slots per core, rounded up to whole words.
+    stride: usize,
+}
+
+impl ModifiedSlots {
+    fn new(cores: usize, l1: &CacheGeometry) -> Self {
+        let stride = (l1.lines() as usize).div_ceil(64) * 64;
+        ModifiedSlots {
+            bits: vec![0; cores * stride / 64],
+            ways: l1.ways() as usize,
+            stride,
+        }
+    }
+
+    #[inline(always)]
+    fn index(&self, core: usize, set: SetIdx, way: WayIdx) -> usize {
+        core * self.stride + set.index() * self.ways + way.index()
+    }
+
+    #[inline(always)]
+    fn get(&self, core: usize, set: SetIdx, way: WayIdx) -> bool {
+        let i = self.index(core, set, way);
+        self.bits[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    #[inline(always)]
+    fn put(&mut self, core: usize, set: SetIdx, way: WayIdx, modified: bool) {
+        let i = self.index(core, set, way);
+        let mask = 1 << (i % 64);
+        if modified {
+            self.bits[i / 64] |= mask;
+        } else {
+            self.bits[i / 64] &= !mask;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.bits.fill(0);
+    }
 }
 
 /// The snapshot fingerprint's coherence-fabric byte. The directory is the
@@ -95,6 +151,10 @@ pub struct CmpSystem<P: ObsProbe = NullProbe> {
     epoch_counter: u64,
     epoch_index: u64,
     drain_buf: Vec<ObsEvent>,
+    /// Per core, the clock at which the policy's next
+    /// [`on_cycle`](LlcPolicy::on_cycle) is due (0 until the first call).
+    next_cycle: Vec<u64>,
+    l2_modified: ModifiedSlots,
 }
 
 impl<P: ObsProbe> std::fmt::Debug for CmpSystem<P> {
@@ -162,6 +222,8 @@ impl<P: ObsProbe> CmpSystem<P> {
         };
         CmpSystem {
             l1s: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
+            next_cycle: vec![0; cfg.cores],
+            l2_modified: ModifiedSlots::new(cfg.cores, &cfg.l1),
             l2s: (0..cfg.cores).map(|_| l2_builder()).collect(),
             fabric: DirectoryFabric::with_capacity(cfg.cores * cfg.l2.lines() as usize),
             prefetchers: cfg
@@ -331,6 +393,21 @@ impl<P: ObsProbe> CmpSystem<P> {
             );
         }
         problems.extend(self.policy.check_invariants());
+        for (i, l1) in self.l1s.iter().enumerate() {
+            for s in 0..l1.geometry().sets() {
+                for (w, line) in l1.set(SetIdx(s)).iter() {
+                    let state = self.l2s[i].state_of(line.addr);
+                    if self.l2_modified.get(i, SetIdx(s), w) && state != Some(MesiState::Modified) {
+                        problems.push(format!(
+                            "core {i}: L1 slot ({s}, {}) marked Modified below, but the L2 \
+                             holds {:?} in {state:?}",
+                            w.index(),
+                            line.addr
+                        ));
+                    }
+                }
+            }
+        }
         assert!(
             problems.is_empty(),
             "invariants violated after step: {}",
@@ -417,8 +494,19 @@ impl<P: ObsProbe> CmpSystem<P> {
                 .fabric
                 .read_miss(&mut self.l2s, core, line, self.cfg.read_policy);
             if let Some(h) = hit {
-                if self.cfg.read_policy == ReadPolicy::Migrate {
-                    self.l1s[h.from.index()].invalidate(line);
+                let from = h.from.index();
+                match self.cfg.read_policy {
+                    ReadPolicy::Migrate => {
+                        self.l1s[from].invalidate(line);
+                    }
+                    // The supplier keeps its L1 line, but a Modified copy
+                    // is now Shared: its next store must upgrade again.
+                    ReadPolicy::Replicate if h.line.state == MesiState::Modified => {
+                        if let Some((s, w)) = self.l1s[from].probe(line) {
+                            self.l2_modified.put(from, s, w, false);
+                        }
+                    }
+                    ReadPolicy::Replicate => {}
                 }
             }
             hit
@@ -513,12 +601,14 @@ impl<P: ObsProbe> CmpSystem<P> {
     }
 
     /// A store hitting a line that is not Modified: invalidate any remote
-    /// copies (upgrade) and mark Modified.
-    fn upgrade_for_store(&mut self, i: usize, line: LineAddr) {
+    /// copies (upgrade) and mark Modified. Returns whether `i`'s L2 copy is
+    /// now Modified.
+    fn upgrade_for_store(&mut self, i: usize, line: LineAddr) -> bool {
         match self.l2s[i].state_of(line) {
-            Some(MesiState::Modified) => {}
+            Some(MesiState::Modified) => true,
             Some(MesiState::Exclusive) => {
                 self.l2s[i].set_state(line, MesiState::Modified);
+                true
             }
             Some(MesiState::Shared) => {
                 self.fabric.write_miss(&mut self.l2s, CoreId(i as u8), line);
@@ -528,11 +618,12 @@ impl<P: ObsProbe> CmpSystem<P> {
                     }
                 }
                 self.l2s[i].set_state(line, MesiState::Modified);
+                true
             }
             // Inclusion guarantees the line is resident when called from a
             // hit path; a missing line means the write buffer drained after
             // an eviction raced it — the write simply goes to memory.
-            None => {}
+            None => false,
         }
     }
 
@@ -981,6 +1072,10 @@ impl<P: ObsProbe> CmpSystem<P> {
         let mut pol = r.expect_section(tag::POLICY)?;
         self.policy.load_state(&mut pol)?;
         pol.finish("policy section")?;
+        // Derived state: the policy recomputes its next clock cycle on the
+        // first call, and store hits re-learn which L1 slots are Modified.
+        self.next_cycle.fill(0);
+        self.l2_modified.clear();
         // Unknown trailing sections (future versions) are permitted.
         Ok(())
     }
@@ -1017,6 +1112,12 @@ impl<P: ObsProbe> MemorySide for CmpSystem<P> {
     /// One access of core `i` below the header math: the L1 probe, the
     /// L2 access with its coherence, spill and swap traffic, the stall,
     /// and the policy's clock and observation epochs.
+    ///
+    /// An L1 hit does only per-access work: a store hit probes the L2 only
+    /// while its slot's line is not known to be Modified there, the policy
+    /// clock runs only once due, and an observed run forwards policy events
+    /// and checks the epoch boundary only after an L2 access or a clock
+    /// call, the only places that buffer events or move the epoch counter.
     #[inline(always)]
     fn access(
         &mut self,
@@ -1028,27 +1129,36 @@ impl<P: ObsProbe> MemorySide for CmpSystem<P> {
         stream: u16,
     ) {
         let line = addr.line(self.cfg.l1.offset_bits());
-        let l1_hit = self.l1s[i].access(line).is_some();
-        let latency = if l1_hit {
+        let l1_way = self.l1s[i].access(line);
+        let latency = if let Some(way) = l1_way {
             h.l1_hits += 1;
             if kind.is_store() {
                 // Write-through below L1 with a coalescing write buffer:
                 // the L2 copy's state is updated (dirtiness, coherence
                 // upgrade) but the buffered write does not occupy the L2 —
                 // no recency promotion, no statistics, no policy event.
-                self.upgrade_for_store(i, line);
+                let set = self.cfg.l1.set_of(line);
+                if !self.l2_modified.get(i, set, way) {
+                    let modified = self.upgrade_for_store(i, line);
+                    self.l2_modified.put(i, set, way, modified);
+                }
             }
             0
         } else {
             let (lat, fill_l1) = self.l2_access(i, line, kind, stream);
             if fill_l1 {
-                fill_l1_demand(&mut self.l1s[i], line);
+                let (set, way) = fill_l1_demand(&mut self.l1s[i], line);
+                self.l2_modified.put(i, set, way, false);
             }
             lat
         };
         h.stall(kind, latency, cpu.overlap);
-        self.policy.on_cycle(CoreId(i as u8), h.clock as u64);
-        if P::ACTIVE {
+        let clock = h.clock as u64;
+        let ticked = clock >= self.next_cycle[i];
+        if ticked {
+            self.next_cycle[i] = self.policy.on_cycle(CoreId(i as u8), clock);
+        }
+        if P::ACTIVE && (l1_way.is_none() || ticked) {
             self.forward_policy_events();
             if self.epoch_accesses > 0 && self.epoch_counter >= self.epoch_accesses {
                 self.epoch_counter -= self.epoch_accesses;
@@ -1293,6 +1403,94 @@ mod tests {
             CmpSystem::from_sources(tiny_cfg(1), Box::new(PrivateBaseline::new()), vec![stores]);
         let r = sys.run_batched(50_000, 10_000);
         assert!(r.cores[0].writebacks > 0, "{:?}", r.cores[0]);
+    }
+
+    /// A policy without clock work that counts the simulator's calls to
+    /// its clock hook.
+    struct CountingClock {
+        inner: PrivateBaseline,
+        calls: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl LlcPolicy for CountingClock {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn record_access(&mut self, core: CoreId, set: SetIdx, outcome: AccessOutcome) {
+            self.inner.record_access(core, set, outcome);
+        }
+
+        fn on_cycle(&mut self, core: CoreId, cycles: u64) -> u64 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.on_cycle(core, cycles)
+        }
+    }
+
+    #[test]
+    fn a_policy_without_clock_work_sees_one_clock_call_per_core() {
+        let calls = std::rc::Rc::default();
+        let policy = CountingClock {
+            inner: PrivateBaseline::new(),
+            calls: std::rc::Rc::clone(&calls),
+        };
+        let mut sys = CmpSystem::from_sources(
+            tiny_cfg(2),
+            Box::new(policy),
+            vec![workload(0, 4 << 10), workload(1 << 30, 64 << 10)],
+        );
+        sys.run_batched(30_000, 5_000);
+        assert!(sys.total_accesses() > 10_000);
+        assert_eq!(calls.get(), 2, "one call per core, on its first access");
+    }
+
+    /// Replays a fixed script of accesses, then repeats its last one.
+    struct Script(Vec<cmp_trace::Access>);
+    impl cmp_trace::AccessStream for Script {
+        fn next_access(&mut self) -> cmp_trace::Access {
+            if self.0.len() > 1 {
+                self.0.remove(0)
+            } else {
+                self.0[0]
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_after_a_replicate_read_upgrades_again() {
+        use cmp_trace::Access;
+        let x = Addr::new(0x4000);
+        let scripted = |accesses: Vec<Access>| {
+            let mut w = workload(0, 512);
+            w.stream = Box::new(Script(accesses));
+            w
+        };
+        let mut cfg = tiny_cfg(2);
+        cfg.read_policy = ReadPolicy::Replicate;
+        let mut sys = CmpSystem::from_sources(
+            cfg,
+            Box::new(PrivateBaseline::new()),
+            vec![
+                scripted(vec![Access::store(x, 0); 3]),
+                scripted(vec![Access::load(x, 0)]),
+            ],
+        );
+        let line = x.line(sys.cfg.l1.offset_bits());
+        sys.step(0); // L2 miss: core 0 holds X Modified.
+        sys.step(0); // L1 store hit on an owned line.
+        sys.step(1); // Replicate read: core 0's copy downgrades to Shared.
+        assert_eq!(sys.l2(CoreId(0)).state_of(line), Some(MesiState::Shared));
+        assert_eq!(sys.l2(CoreId(1)).state_of(line), Some(MesiState::Shared));
+        sys.step(0); // L1 store hit that must upgrade again.
+        assert_eq!(sys.l2(CoreId(0)).state_of(line), Some(MesiState::Modified));
+        assert_eq!(sys.l2(CoreId(1)).state_of(line), None, "peer copy survived");
+        assert!(sys.l1s()[1].probe(line).is_none(), "peer L1 copy survived");
+        assert_eq!(sys.total_accesses(), 4);
+        assert_eq!(sys.cores[0].counters.l1_hits, 2);
     }
 
     struct StoreEverything(CyclicStream);
