@@ -172,6 +172,12 @@ fn control_plane_basics() {
     assert_eq!(status, 400);
     let (_, cfg) = d.req_json("GET", "/config", None);
     assert_eq!(cfg.get("arena_mb").and_then(Value::as_u64), Some(512));
+    // A nesting bomb is refused like any bad body; the daemon lives on.
+    let bomb = "[".repeat(100_000);
+    let (status, err) = d.req_json("PUT", "/config", Some(&bomb));
+    assert_eq!(status, 400, "{err}");
+    let (status, _) = d.req_json("GET", "/healthz", None);
+    assert_eq!(status, 200);
 
     // Unknown routes 404; wrong methods 405/404 with JSON errors.
     let (status, _) = d.req_json("GET", "/nope", None);

@@ -9,6 +9,11 @@
 
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// parser recurses once per level, so the cap bounds its stack use on
+/// hostile input; the workspace's own documents nest fewer than 10 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON document or fragment.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -111,10 +116,16 @@ impl Value {
     }
 
     /// Parses a JSON document.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] on malformed input, including arrays and objects
+    /// nested more than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -306,6 +317,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -350,8 +363,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -477,6 +501,10 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytes the random-bracket property draws from.
+    const BRACKETS: &[u8] = b"[]{}\":,1 ";
 
     #[test]
     fn roundtrip_record_shape() {
@@ -532,6 +560,55 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("1 2").is_err());
         assert!(Value::parse("\"unterminated").is_err());
+    }
+
+    /// `depth` levels of arrays and objects (`kinds[level]` picks which)
+    /// around a number.
+    fn nested(depth: usize, kinds: &[bool]) -> String {
+        let mut doc = String::new();
+        for &object in &kinds[..depth] {
+            doc.push_str(if object { "{\"k\":" } else { "[" });
+        }
+        doc.push('1');
+        for &object in kinds[..depth].iter().rev() {
+            doc.push(if object { '}' } else { ']' });
+        }
+        doc
+    }
+
+    #[test]
+    fn nesting_bombs_are_errors() {
+        // Far past the default thread stack if parsed by recursion.
+        for bomb in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let e = Value::parse(&bomb).unwrap_err();
+            assert!(e.message.contains("nesting deeper"), "{e}");
+            assert_eq!(e.offset, MAX_DEPTH * (bomb.len() / 100_000));
+        }
+        let kinds = [false; MAX_DEPTH + 1];
+        assert!(Value::parse(&nested(MAX_DEPTH, &kinds)).is_ok());
+        assert!(Value::parse(&nested(MAX_DEPTH + 1, &kinds)).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn nesting_is_capped_and_every_truncation_fails(
+            depth in 0..=2 * MAX_DEPTH,
+            kinds in prop::collection::vec(prop::bool::ANY, 2 * MAX_DEPTH),
+        ) {
+            let doc = nested(depth, &kinds);
+            prop_assert_eq!(Value::parse(&doc).is_ok(), depth <= MAX_DEPTH);
+            for cut in 0..doc.len() {
+                prop_assert!(Value::parse(&doc[..cut]).is_err(), "cut at {}", cut);
+            }
+        }
+
+        #[test]
+        fn random_brackets_never_panic(
+            picks in prop::collection::vec(0..BRACKETS.len(), 0..4 * MAX_DEPTH),
+        ) {
+            let text: String = picks.iter().map(|&i| BRACKETS[i] as char).collect();
+            let _ = Value::parse(&text);
+        }
     }
 
     #[test]
