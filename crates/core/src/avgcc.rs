@@ -964,11 +964,16 @@ mod tests {
         for _ in 0..50 {
             p.record_access(CoreId(0), SetIdx(0), AccessOutcome::Miss);
         }
-        p.on_cycle(CoreId(0), 1_000);
+        // Each call names the cycle the next recomputation is due at.
+        assert_eq!(p.on_cycle(CoreId(0), 1_000), 1_100);
         let low = p.qos_ratio(CoreId(0));
+        assert_eq!(p.on_cycle(CoreId(0), 1_099), 1_100, "not due yet");
+        assert_eq!(p.qos_ratio(CoreId(0)), low);
         // A quiet epoch with no misses resets to 1.0.
-        p.on_cycle(CoreId(0), 2_000);
+        assert_eq!(p.on_cycle(CoreId(0), 2_000), 2_100);
         assert!((p.qos_ratio(CoreId(0)) - 1.0).abs() < 1e-9, "was {low}");
+        // Without QoS there is no clock work.
+        assert_eq!(quick(1).build().on_cycle(CoreId(0), 5), u64::MAX);
     }
 
     #[test]

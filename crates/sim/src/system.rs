@@ -72,23 +72,22 @@ pub(crate) fn fill_l1_demand(l1: &mut SetAssocCache, line: LineAddr) -> (SetIdx,
 struct ModifiedSlots {
     bits: Vec<u64>,
     ways: usize,
-    /// Slots per core, rounded up to whole words.
-    stride: usize,
+    slots_per_core: usize,
 }
 
 impl ModifiedSlots {
     fn new(cores: usize, l1: &CacheGeometry) -> Self {
-        let stride = (l1.lines() as usize).div_ceil(64) * 64;
+        let slots_per_core = l1.lines() as usize;
         ModifiedSlots {
-            bits: vec![0; cores * stride / 64],
+            bits: vec![0; (cores * slots_per_core).div_ceil(64)],
             ways: l1.ways() as usize,
-            stride,
+            slots_per_core,
         }
     }
 
     #[inline(always)]
     fn index(&self, core: usize, set: SetIdx, way: WayIdx) -> usize {
-        core * self.stride + set.index() * self.ways + way.index()
+        core * self.slots_per_core + set.index() * self.ways + way.index()
     }
 
     #[inline(always)]

@@ -352,8 +352,11 @@ const REC_MT_WARMUP: u64 = 25_000;
 const REC_EPOCH: u64 = 2_000;
 
 /// One observed run: the recorder's whole JSON (epochs, counts, policy
-/// snapshots) and the system's lifetime counters, which the event stream
-/// reconciles against.
+/// snapshots), the system's lifetime counters, which the event stream
+/// reconciles against, and the access counts after which policy events
+/// reached the probe. A live reader (the daemon's `/snapshots`) sees the
+/// probe between accesses, so the arrival points are pinned too, not only
+/// the epochs the events land in.
 fn record(
     cfg: &SystemConfig,
     policy: Box<dyn LlcPolicy>,
@@ -362,12 +365,26 @@ fn record(
 ) -> Value {
     let mut rec = EpochRecorder::new(cfg.cores);
     let mut sys = CmpSystem::with_probe_sources(cfg.clone(), policy, sources, &mut rec, REC_EPOCH);
-    sys.run_batched(instrs, warmup);
+    let (mut seen, mut arrivals) = (0, Vec::new());
+    sys.try_run_batched(instrs, warmup, 1, |s| {
+        let t = s.probe().totals();
+        let policy_events: u64 = [&t.insertion_switches, &t.regranularizations, &t.qos_updates]
+            .iter()
+            .flat_map(|v| v.iter())
+            .sum();
+        if policy_events != seen {
+            seen = policy_events;
+            arrivals.push(Value::from(s.total_accesses()));
+        }
+        true
+    })
+    .expect("an always-continue hook cannot abort the run");
     let life = run_to_json(&sys.lifetime_result());
     drop(sys);
     rec.finish();
     Value::object()
         .insert("lifetime", life)
+        .insert("policy_event_arrivals", arrivals)
         .insert("recording", rec.to_json())
 }
 
