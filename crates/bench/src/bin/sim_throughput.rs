@@ -29,7 +29,9 @@
 //! 2/4/8/16/32/64 cores (or just `--cores` when given) on the directory
 //! fabric, reporting the simulation rate (traces materialized before the
 //! clock starts) and tag probes per L1 access next to the broadcast bus's
-//! closed form, `snoops × (cores − 1)` — the `scaling` block of the JSON
+//! closed form, `snoops × (cores − 1)`, and the event loop's schedule
+//! counts: the mean pure hits a core runs ahead before its next event and
+//! the rewinds per thousand accesses — the `scaling` block of the JSON
 //! artifact.
 
 use ascc_bench::cli::Cli;
@@ -336,6 +338,13 @@ fn main() {
                                 "broadcast_probes_per_access",
                                 r.broadcast_probes_per_access(),
                             )
+                            .insert("events", r.sched.events as f64)
+                            .insert("run_aheads", r.sched.run_aheads as f64)
+                            .insert("pure_hits", r.sched.pure_hits as f64)
+                            .insert("rewinds", r.sched.rewinds as f64)
+                            .insert("rewound_hits", r.sched.rewound_hits as f64)
+                            .insert("hits_per_run_ahead", r.hits_per_run_ahead())
+                            .insert("rewinds_per_kacc", r.rewinds_per_kacc())
                     })
                     .collect(),
             ),

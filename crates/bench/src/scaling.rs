@@ -10,12 +10,15 @@
 //! share would differ per width, since wider mixes reuse the traces of
 //! the cores they share with narrower ones) stays out of it. Probe and
 //! snoop counts are deterministic functions of the trace, which is what
-//! lets CI gate on them. The paper's broadcast bus is not run:
+//! lets CI gate on them; so are the event loop's schedule counts (pure
+//! hits per run-ahead, rewinds per thousand accesses), which show how much
+//! of each row's work skipped the clock-order pick. The paper's broadcast
+//! bus is not run:
 //! it probes every peer on every snoop, so its probe count is the closed
 //! form `snoops × (cores − 1)` ([`cmp_coherence::BusStats::broadcast_probes`]).
 
 use crate::{Policy, Scale};
-use cmp_sim::{mix_sources, CmpSystem, SystemConfig};
+use cmp_sim::{mix_sources, CmpSystem, ScheduleCounts, SystemConfig};
 use cmp_trace::mixes_for;
 
 /// One core count's measurement of the scaling sweep.
@@ -37,6 +40,9 @@ pub struct ScalingRow {
     /// Peer-tag probes a broadcast bus would make for the same snoops
     /// (`cores − 1` per snoop).
     pub broadcast_probes: u64,
+    /// How the event loop executed those accesses: events, run-aheads,
+    /// pure hits and rewinds. Deterministic, like the probe counts.
+    pub sched: ScheduleCounts,
 }
 
 impl ScalingRow {
@@ -58,6 +64,16 @@ impl ScalingRow {
     pub fn broadcast_probes_per_access(&self) -> f64 {
         self.broadcast_probes as f64 / self.simulated.max(1) as f64
     }
+
+    /// Mean pure hits one run-ahead commits before its core's next event.
+    pub fn hits_per_run_ahead(&self) -> f64 {
+        self.sched.pure_hits as f64 / self.sched.run_aheads.max(1) as f64
+    }
+
+    /// Rewinds per thousand simulated accesses.
+    pub fn rewinds_per_kacc(&self) -> f64 {
+        self.sched.rewinds as f64 * 1000.0 / self.simulated.max(1) as f64
+    }
 }
 
 /// Runs the sweep at every width in `core_counts`.
@@ -77,6 +93,7 @@ pub fn scaling_sweep(core_counts: &[usize], scale: Scale) -> Vec<ScalingRow> {
             snoops: 0,
             probes: 0,
             broadcast_probes: 0,
+            sched: ScheduleCounts::default(),
         };
         for mix in mixes.iter().take(2) {
             let build = || {
@@ -98,6 +115,7 @@ pub fn scaling_sweep(core_counts: &[usize], scale: Scale) -> Vec<ScalingRow> {
             row.snoops += s.snoops;
             row.probes += s.probes;
             row.broadcast_probes += s.broadcast_probes(cores);
+            row.sched = row.sched + sys.schedule_counts();
         }
         out.push(row);
     }
@@ -116,6 +134,8 @@ pub fn scaling_table(rows: &[ScalingRow]) -> (Vec<String>, Vec<Vec<String>>) {
         "broadcast probes",
         "probes/acc",
         "broadcast probes/acc",
+        "hits/run-ahead",
+        "rewinds/kacc",
     ]
     .map(String::from)
     .to_vec();
@@ -132,6 +152,8 @@ pub fn scaling_table(rows: &[ScalingRow]) -> (Vec<String>, Vec<Vec<String>>) {
                 r.broadcast_probes.to_string(),
                 format!("{:.3}", r.probes_per_access()),
                 format!("{:.3}", r.broadcast_probes_per_access()),
+                format!("{:.2}", r.hits_per_run_ahead()),
+                format!("{:.3}", r.rewinds_per_kacc()),
             ]
         })
         .collect();
@@ -151,8 +173,17 @@ mod tests {
             snoops: 10,
             probes: 250_000,
             broadcast_probes: 750_000,
+            sched: ScheduleCounts {
+                events: 100_000,
+                run_aheads: 50_000,
+                pure_hits: 900_500,
+                rewinds: 20,
+                rewound_hits: 500,
+            },
         };
         assert!((r.per_sec() - 500_000.0).abs() < 1e-6);
+        assert!((r.hits_per_run_ahead() - 18.01).abs() < 1e-12);
+        assert!((r.rewinds_per_kacc() - 0.02).abs() < 1e-12);
         assert!((r.probes_per_access() - 0.25).abs() < 1e-12);
         assert!((r.broadcast_probes_per_access() - 0.75).abs() < 1e-12);
         let (headers, table) = scaling_table(&[r]);
@@ -184,5 +215,8 @@ mod tests {
             d.probes,
             d.broadcast_probes
         );
+        let s = d.sched;
+        assert_eq!(s.events + s.pure_hits - s.rewound_hits, d.simulated);
+        assert!(s.run_aheads > 0 && d.hits_per_run_ahead() >= 1.0);
     }
 }

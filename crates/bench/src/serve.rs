@@ -105,19 +105,24 @@ fn parse_policy(label: &str) -> Option<Policy> {
 
 /// An [`ObsProbe`] that forwards into a shared recorder, so HTTP handler
 /// threads can serve the recording while the simulation thread is still
-/// appending to it.
-struct LiveProbe(Arc<Mutex<EpochRecorder>>);
+/// appending to it. It also publishes the closed-epoch count, so job
+/// summaries read it without taking the lock the simulation takes on
+/// every event.
+struct LiveProbe {
+    recorder: Arc<Mutex<EpochRecorder>>,
+    epochs: Arc<AtomicU64>,
+}
 
 impl ObsProbe for LiveProbe {
     fn record(&mut self, event: ObsEvent) {
-        self.0.lock().expect("recorder lock").record(event);
+        self.recorder.lock().expect("recorder lock").record(event);
     }
 
     fn on_epoch(&mut self, index: u64, snapshot: &PolicySnapshot) {
-        self.0
-            .lock()
-            .expect("recorder lock")
-            .on_epoch(index, snapshot);
+        let mut rec = self.recorder.lock().expect("recorder lock");
+        rec.on_epoch(index, snapshot);
+        self.epochs
+            .store(rec.epochs().len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -156,6 +161,9 @@ enum JobKind {
         label: String,
         /// Live recording shared with the simulation thread.
         recorder: Arc<Mutex<EpochRecorder>>,
+        /// The recording's closed-epoch count, published by the
+        /// simulation thread so readers need not lock `recorder`.
+        epochs: Arc<AtomicU64>,
         /// Cooperative cancel flag checked once per simulated access.
         cancel: Arc<AtomicBool>,
         /// Core count (metrics labels).
@@ -215,10 +223,8 @@ impl Job {
                     .insert("workdir", workdir.display().to_string())
                     .insert("child_pid", pid as f64)
             }
-            JobKind::Mix {
-                label, recorder, ..
-            } => {
-                let epochs = recorder.lock().expect("recorder lock").epochs().len();
+            JobKind::Mix { label, epochs, .. } => {
+                let epochs = epochs.load(Ordering::Relaxed);
                 doc.insert("kind", "mix")
                     .insert("label", label.clone())
                     .insert("epochs_recorded", epochs as f64)
@@ -307,9 +313,24 @@ impl DaemonState {
         }
     }
 
+    /// Joins the worker threads that have finished and keeps the running
+    /// ones. Their jobs stay listed: `GET /jobs` reports every job.
+    fn reap_workers(&self) {
+        let mut workers = self.workers.lock().expect("workers lock");
+        let (done, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *workers)
+            .into_iter()
+            .partition(|w| w.is_finished());
+        *workers = running;
+        drop(workers);
+        for w in done {
+            let _ = w.join();
+        }
+    }
+
     // ----- job creation ---------------------------------------------------
 
     fn create_job(self: &Arc<Self>, spec: Value) -> Result<Arc<Job>, String> {
+        self.reap_workers();
         let kind = spec
             .get("kind")
             .and_then(Value::as_str)
@@ -491,6 +512,7 @@ impl DaemonState {
 
         let id = format!("job-{}", self.next_id.fetch_add(1, Ordering::SeqCst));
         let recorder = Arc::new(Mutex::new(EpochRecorder::new(cores)));
+        let epochs = Arc::new(AtomicU64::new(0));
         let cancel = Arc::new(AtomicBool::new(false));
         let accesses = Arc::new(AtomicU64::new(0));
         let label = match (&scenario, &mix) {
@@ -504,6 +526,7 @@ impl DaemonState {
             kind: JobKind::Mix {
                 label,
                 recorder: Arc::clone(&recorder),
+                epochs: Arc::clone(&epochs),
                 cancel: Arc::clone(&cancel),
                 cores,
                 accesses: Arc::clone(&accesses),
@@ -524,7 +547,10 @@ impl DaemonState {
                 cfg.clone(),
                 policy.build(&cfg),
                 sources,
-                LiveProbe(Arc::clone(&recorder)),
+                LiveProbe {
+                    recorder: Arc::clone(&recorder),
+                    epochs: Arc::clone(&epochs),
+                },
                 epoch,
             );
             // Refresh the live access counter from each hook (the engine
@@ -537,7 +563,10 @@ impl DaemonState {
             });
             accesses.store(sys.total_accesses(), Ordering::Relaxed);
             drop(sys);
-            recorder.lock().expect("recorder lock").finish();
+            let mut rec = recorder.lock().expect("recorder lock");
+            rec.finish();
+            epochs.store(rec.epochs().len() as u64, Ordering::Relaxed);
+            drop(rec);
             match outcome {
                 Some(_) => worker_job.finish(JobState::Done, None),
                 None => worker_job.finish(JobState::Cancelled, None),
@@ -614,6 +643,7 @@ impl DaemonState {
         struct MixRow<'a> {
             id: &'a str,
             recorder: &'a Arc<Mutex<EpochRecorder>>,
+            epochs: u64,
             cores: usize,
             accesses: u64,
             seconds: f64,
@@ -623,12 +653,14 @@ impl DaemonState {
             .filter_map(|j| match &j.kind {
                 JobKind::Mix {
                     recorder,
+                    epochs,
                     cores,
                     accesses,
                     ..
                 } => Some(MixRow {
                     id: j.id.as_str(),
                     recorder,
+                    epochs: epochs.load(Ordering::Relaxed),
                     cores: *cores,
                     accesses: accesses.load(Ordering::Relaxed),
                     seconds: j.seconds(),
@@ -692,11 +724,10 @@ impl DaemonState {
             MetricKind::Gauge,
         );
         for job in &mix_jobs {
-            let n = job.recorder.lock().expect("recorder lock").epochs().len();
             m.sample(
                 "ascc_obs_epochs_recorded",
                 &[("job", job.id.to_string())],
-                n as f64,
+                job.epochs as f64,
             );
         }
         m.family(
@@ -925,6 +956,108 @@ mod tests {
         let e = expect_err(r#"{"kind": "mix", "scenario": "churn", "mix": 99, "policy": "zzz"}"#);
         assert!(e.contains("unknown policy"), "{e}");
         assert!(state.jobs().is_empty());
+        let _ = std::fs::remove_dir_all(&state.root);
+    }
+
+    fn test_state(tag: &str) -> Arc<DaemonState> {
+        let opts = DaemonOptions {
+            root: std::env::temp_dir().join(format!("ascc-serve-{tag}-{}", std::process::id())),
+            config: RunConfig::default(),
+        };
+        Arc::new(DaemonState::new(opts, ShutdownHandle::default()))
+    }
+
+    fn get(state: &Arc<DaemonState>, path: &str) -> Response {
+        route(
+            state,
+            &Request {
+                method: "GET".to_string(),
+                path: path.to_string(),
+                query: Vec::new(),
+                headers: Vec::new(),
+                body: Vec::new(),
+            },
+        )
+    }
+
+    fn wait_until_done(job: &Job) {
+        let start = Instant::now();
+        while job.state() == JobState::Running {
+            assert!(
+                start.elapsed() < Duration::from_secs(120),
+                "{} hangs",
+                job.id
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    const SHORT_MIX: &str =
+        r#"{"kind": "mix", "cores": 2, "instrs": 20000, "warmup": 5000, "epoch_accesses": 200}"#;
+
+    #[test]
+    fn polls_answer_while_the_recorder_is_locked() {
+        let state = test_state("lock");
+        let job = state.create_job(Value::parse(SHORT_MIX).unwrap()).unwrap();
+        let JobKind::Mix { recorder, .. } = &job.kind else {
+            unreachable!("a mix spec makes a mix job")
+        };
+        let held = recorder.lock().expect("recorder lock");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let poller = {
+            let state = Arc::clone(&state);
+            let path = format!("/jobs/{}", job.id);
+            std::thread::spawn(move || {
+                let _ = tx.send((get(&state, &path).status, get(&state, "/jobs").status));
+            })
+        };
+        let answered = rx.recv_timeout(Duration::from_secs(30));
+        drop(held);
+        assert_eq!(answered, Ok((200, 200)), "a poll waited on the recorder");
+        poller.join().unwrap();
+        wait_until_done(&job);
+        let summary = job.summary_json();
+        let JobKind::Mix { recorder, .. } = &job.kind else {
+            unreachable!()
+        };
+        let closed = recorder.lock().expect("recorder lock").epochs().len();
+        assert!(closed > 0, "a 25k-instruction job closes epochs");
+        assert_eq!(
+            summary.get("epochs_recorded").and_then(Value::as_u64),
+            Some(closed as u64)
+        );
+        state.drain();
+        let _ = std::fs::remove_dir_all(&state.root);
+    }
+
+    #[test]
+    fn finished_workers_are_reaped_when_a_job_is_created() {
+        let state = test_state("reap");
+        for _ in 0..3 {
+            let job = state.create_job(Value::parse(SHORT_MIX).unwrap()).unwrap();
+            wait_until_done(&job);
+        }
+        // The job's state is set just before its thread returns.
+        let start = Instant::now();
+        while !state
+            .workers
+            .lock()
+            .expect("workers lock")
+            .iter()
+            .all(|w| w.is_finished())
+        {
+            assert!(start.elapsed() < Duration::from_secs(30));
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let last = state.create_job(Value::parse(SHORT_MIX).unwrap()).unwrap();
+        assert_eq!(
+            state.workers.lock().expect("workers lock").len(),
+            1,
+            "only the new job's worker is held"
+        );
+        assert_eq!(state.jobs().len(), 4, "finished jobs stay listed");
+        wait_until_done(&last);
+        state.drain();
         let _ = std::fs::remove_dir_all(&state.root);
     }
 

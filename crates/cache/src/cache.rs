@@ -240,6 +240,44 @@ impl SetAssocCache {
         }
     }
 
+    /// [`access`](SetAssocCache::access)'s hit path at a slot already
+    /// found by [`probe`](SetAssocCache::probe): promotes `way` to MRU and
+    /// counts the hit. Returns the set's previous recency word, which
+    /// [`undo_hit`](SetAssocCache::undo_hit) takes back.
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics if the slot's line carries the spilled flag: clearing
+    /// it and counting the spilled hit could not be taken back.
+    #[inline]
+    pub fn hit_at(&mut self, set: SetIdx, way: WayIdx) -> u64 {
+        debug_assert_eq!(
+            self.meta[set.index() * self.geometry.ways() as usize + way.index()] & 0b100,
+            0,
+            "hit_at on a spilled line"
+        );
+        let rw = &mut self.recency[set.index()];
+        let old = *rw;
+        *rw = crate::recency::touch_mru_word(old, self.geometry.ways(), way);
+        self.stats.hits += 1;
+        if let Some(ss) = &mut self.set_stats {
+            ss[set.index()].hits += 1;
+        }
+        old
+    }
+
+    /// Takes back one [`hit_at`](SetAssocCache::hit_at): restores `set`'s
+    /// recency word to `word`, the value that call returned, and uncounts
+    /// the hit. Hits taken back in reverse order restore the cache exactly.
+    #[inline]
+    pub fn undo_hit(&mut self, set: SetIdx, word: u64) {
+        self.recency[set.index()] = word;
+        self.stats.hits -= 1;
+        if let Some(ss) = &mut self.set_stats {
+            ss[set.index()].hits -= 1;
+        }
+    }
+
     /// MESI state of a resident line.
     pub fn state_of(&self, line: LineAddr) -> Option<MesiState> {
         self.probe(line)
@@ -568,6 +606,34 @@ mod tests {
         // The flag clears on local reuse: a second hit is an ordinary hit.
         c.access(la);
         assert_eq!(c.stats().spilled_line_hits, 1);
+    }
+
+    #[test]
+    fn undo_hit_takes_back_hit_at() {
+        let mut c = small_cache().with_set_stats();
+        fill_demand(&mut c, 0);
+        fill_demand(&mut c, 4);
+        let before = c.clone();
+        let (set, way) = c.probe(LineAddr::new(0)).unwrap();
+        let w1 = c.hit_at(set, way);
+        let (_, way4) = c.probe(LineAddr::new(4)).unwrap();
+        let w2 = c.hit_at(set, way4);
+        let mut by_access = before.clone();
+        by_access.access(LineAddr::new(0));
+        by_access.access(LineAddr::new(4));
+        assert_eq!(
+            c.set(set).recency().order().collect::<Vec<_>>(),
+            by_access.set(set).recency().order().collect::<Vec<_>>()
+        );
+        assert_eq!(c.stats(), by_access.stats());
+        c.undo_hit(set, w2);
+        c.undo_hit(set, w1);
+        assert_eq!(
+            c.set(set).recency().order().collect::<Vec<_>>(),
+            before.set(set).recency().order().collect::<Vec<_>>()
+        );
+        assert_eq!(c.stats(), before.stats());
+        assert_eq!(c.set_stats(), before.set_stats());
     }
 
     #[test]

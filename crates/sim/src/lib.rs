@@ -62,3 +62,4 @@ pub use runner::{
 pub use shared::{SharedConfig, SharedLlcSystem};
 pub use sweep::{CancelToken, SweepPool};
 pub use system::CmpSystem;
+pub use timing::ScheduleCounts;

@@ -1,12 +1,12 @@
 //! Convenience runners: mixes → systems, solo runs, and the
 //! fully-associative single-core run used by Fig. 1's last column. Every
-//! run, the fully associative one included, goes through the drain loop
+//! run, the fully associative one included, goes through the event loop
 //! of [`crate::timing`].
 
 use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
 use crate::system::{fill_l1_demand, CmpSystem};
-use crate::timing::{self, CoreState, HotCore, MemorySide};
+use crate::timing::{self, CoreState, HitUndo, HotCore, MemorySide};
 use cmp_cache::{
     AccessKind, Addr, FullyAssocLru, LlcPolicy, LruOutcome, PrivateBaseline, SetAssocCache,
 };
@@ -402,7 +402,7 @@ impl SoloRun {
 }
 
 /// One core over an L1 and a fully associative LRU LLC, on the same
-/// timing model and drain loop as [`CmpSystem`]. LLC accesses, hits and
+/// timing model and event loop as [`CmpSystem`]. LLC accesses, hits and
 /// misses count as `l2_accesses`, `l2_local_hits` and `l2_mem`.
 struct FullyAssocSystem {
     core: CoreState,
@@ -455,7 +455,31 @@ impl MemorySide for FullyAssocSystem {
             lat
         };
         h.stall(kind, latency, cpu.overlap);
+    }
+
+    /// Every L1 hit: a store hit is buffered and touches nothing below.
+    #[inline(always)]
+    fn pure_hit(
+        &mut self,
+        _i: usize,
+        _clock: f64,
+        addr: Addr,
+        _kind: AccessKind,
+    ) -> Option<HitUndo> {
+        let (set, way) = self.l1.probe(addr.line(self.l1.geometry().offset_bits()))?;
+        let word = self.l1.hit_at(set, way);
         #[cfg(feature = "debug-invariants")]
+        timing::check_set_recency(&self.l1, set);
+        Some(HitUndo { set, word })
+    }
+
+    fn undo_hit(&mut self, _i: usize, undo: HitUndo) {
+        self.l1.undo_hit(undo.set, undo.word);
+    }
+
+    /// L1 ⊆ LLC inclusion.
+    #[cfg(feature = "debug-invariants")]
+    fn check_invariants(&self) {
         for s in 0..self.l1.geometry().sets() {
             for (_, l) in self.l1.set(cmp_cache::SetIdx(s)).iter() {
                 assert!(

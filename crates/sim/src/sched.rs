@@ -1,13 +1,13 @@
 //! First-minimum clock scheduling for the batched event loop.
 //!
 //! The scheduling spec picks the lowest clock before every access (ties
-//! to the lowest core index). The batched loop asks that question after
-//! every access: the core it just advanced keeps draining its trace chunk
-//! while it is still the pick, and yields as soon as another core is. A
-//! linear scan would cost O(cores) data-dependent compares per access;
-//! profiled on a 16-core mix it took about a third of the run.
+//! to the lowest core index). The batched loop asks that question before
+//! every event, keyed by each core's next unexecuted access; pure L1 hits
+//! run ahead of it (see [`crate::timing`]). A linear scan would cost
+//! O(cores) data-dependent compares per pick; profiled on a 16-core mix,
+//! when every access was a pick, it took about a third of the run.
 //! [`WinnerTree`] makes the pick a read of the root and the update after
-//! an access one leaf-to-root replay of ⌈log₂ cores⌉ compares.
+//! a pick one leaf-to-root replay of ⌈log₂ cores⌉ compares.
 //!
 //! Bit-identity matters more than speed here: the tree reproduces the
 //! first-minimum semantics of the spec's scan under [`f64::total_cmp`] —
@@ -21,7 +21,7 @@
 /// NaN payloads a restored snapshot could carry order exactly as the
 /// spec's scan orders them.
 #[inline(always)]
-fn clock_key(clock: f64) -> u64 {
+pub(crate) fn clock_key(clock: f64) -> u64 {
     let bits = clock.to_bits();
     bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
 }
@@ -36,9 +36,9 @@ struct Slot {
 /// A winner tree over the core clocks: a binary tournament whose leaves
 /// are the cores (padded with never-winning leaves up to a power of two)
 /// and whose root is the first-minimum core. The batched loop reads the
-/// pick from the root and replays one leaf-to-root path after each
-/// access; it builds the tree once per run and rebuilds it in place after
-/// a hook, so nothing is allocated per drain.
+/// pick from the root and replays one leaf-to-root path after each pick
+/// and each rewind; it builds the tree once per run and rebuilds it in
+/// place after a hook, so nothing is allocated per pick.
 ///
 /// Ties go to the left child. Every core in a left subtree has a lower
 /// index than every core in its right sibling, so the root is the lowest

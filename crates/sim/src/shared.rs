@@ -9,7 +9,7 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::RunResult;
-use crate::timing::{self, CoreState, HotCore, MemorySide};
+use crate::timing::{self, CoreState, HitUndo, HotCore, L1Write, MemorySide};
 use cmp_cache::{
     AccessKind, Addr, CacheGeometry, CacheLine, FillKind, InsertPos, LineAddr, MesiState,
     SetAssocCache,
@@ -50,7 +50,7 @@ impl SharedConfig {
 }
 
 /// A CMP with one shared, interleaved LLC — the §6.1 comparison point.
-/// Its cores run on the same timing model and drain loop as
+/// Its cores run on the same timing model and event loop as
 /// [`crate::CmpSystem`]'s. LLC accesses, hits and misses count as
 /// `l2_accesses`, `l2_local_hits` and `l2_mem`.
 pub struct SharedLlcSystem {
@@ -58,6 +58,9 @@ pub struct SharedLlcSystem {
     l1s: Vec<SetAssocCache>,
     llc: SetAssocCache,
     cores: Vec<CoreState>,
+    /// The current access's back-invalidations of other cores' L1s, for
+    /// the event loop to apply.
+    l1_writes: Vec<L1Write>,
 }
 
 impl std::fmt::Debug for SharedLlcSystem {
@@ -88,6 +91,7 @@ impl SharedLlcSystem {
             llc: SetAssocCache::new(cfg.llc),
             cores: sources.into_iter().map(CoreState::new).collect(),
             cfg,
+            l1_writes: Vec::new(),
         }
     }
 
@@ -135,34 +139,22 @@ impl SharedLlcSystem {
             FillKind::Demand,
         );
         if let Some(v) = evicted {
-            // The shared LLC backs every L1: back-invalidate them all.
-            for l1 in &mut self.l1s {
-                l1.invalidate(v.addr);
+            // The shared LLC backs every L1: back-invalidate them all. The
+            // other cores' L1s are written by the event loop.
+            self.l1s[i].invalidate(v.addr);
+            for j in 0..self.l1s.len() {
+                if j != i && self.l1s[j].probe(v.addr).is_some() {
+                    self.l1_writes.push(L1Write::Invalidate {
+                        core: j,
+                        line: v.addr,
+                    });
+                }
             }
             if v.state.is_dirty() {
                 cnt.writebacks += 1;
             }
         }
         self.cfg.lat_llc + self.cfg.lat_mem
-    }
-
-    /// L1 ⊆ LLC inclusion and recency permutations, checked after every
-    /// access under the `debug-invariants` feature.
-    #[cfg(feature = "debug-invariants")]
-    fn debug_check_invariants(&self) {
-        let llc = std::slice::from_ref(&self.llc);
-        let mut problems = crate::system::inclusion_violations(&self.l1s, |_| &self.llc);
-        problems.extend(
-            cmp_coherence::check_recency(&self.l1s)
-                .iter()
-                .chain(cmp_coherence::check_recency(llc).iter())
-                .map(|v| v.to_string()),
-        );
-        assert!(
-            problems.is_empty(),
-            "invariants violated after step: {}",
-            problems.join("; ")
-        );
     }
 }
 
@@ -197,8 +189,66 @@ impl MemorySide for SharedLlcSystem {
             lat
         };
         h.stall(kind, latency, cpu.overlap);
+    }
+
+    /// An L1 load hit, or an L1 store hit whose LLC copy is already
+    /// Modified: neither changes the LLC.
+    #[inline(always)]
+    fn pure_hit(&mut self, i: usize, _clock: f64, addr: Addr, kind: AccessKind) -> Option<HitUndo> {
+        let line = addr.line(self.cfg.l1.offset_bits());
+        let l1 = &mut self.l1s[i];
+        let (set, way) = l1.probe(line)?;
+        if kind.is_store() && self.llc.state_of(line) != Some(MesiState::Modified) {
+            return None;
+        }
+        let word = l1.hit_at(set, way);
         #[cfg(feature = "debug-invariants")]
-        self.debug_check_invariants();
+        timing::check_set_recency(l1, set);
+        Some(HitUndo { set, word })
+    }
+
+    fn undo_hit(&mut self, i: usize, undo: HitUndo) {
+        self.l1s[i].undo_hit(undo.set, undo.word);
+    }
+
+    fn foreign_writes(&self) -> &[L1Write] {
+        &self.l1_writes
+    }
+
+    fn foreign_write_changes(&self, w: L1Write) -> bool {
+        match w {
+            L1Write::Invalidate { core, line } => self.l1s[core].probe(line).is_some(),
+            L1Write::ClearModified { .. } => unreachable!("the shared LLC keeps no Modified bits"),
+        }
+    }
+
+    fn apply_foreign_write(&mut self, w: L1Write) {
+        if let L1Write::Invalidate { core, line } = w {
+            self.l1s[core].invalidate(line);
+        }
+    }
+
+    fn clear_foreign_writes(&mut self) {
+        self.l1_writes.clear();
+    }
+
+    /// L1 ⊆ LLC inclusion and recency permutations, checked after every
+    /// event and rewind under the `debug-invariants` feature.
+    #[cfg(feature = "debug-invariants")]
+    fn check_invariants(&self) {
+        let llc = std::slice::from_ref(&self.llc);
+        let mut problems = crate::system::inclusion_violations(&self.l1s, |_| &self.llc);
+        problems.extend(
+            cmp_coherence::check_recency(&self.l1s)
+                .iter()
+                .chain(cmp_coherence::check_recency(llc).iter())
+                .map(|v| v.to_string()),
+        );
+        assert!(
+            problems.is_empty(),
+            "invariants violated after step: {}",
+            problems.join("; ")
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 //! The CMP simulator: private two-level hierarchies kept coherent by the
 //! sharer-bitmask directory, and the spill/swap orchestration that the LLC
 //! policies steer. This is the memory side; the cores run on the
-//! analytical timing model and drain loop of [`crate::timing`].
+//! analytical timing model and event loop of [`crate::timing`].
 //!
 //! ## Memory-system behaviour per L2 access
 //!
@@ -16,7 +16,9 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::{CoreResult, RunResult};
-use crate::timing::{self, CoreState, Counters, HotCore, MemorySide};
+use crate::timing::{
+    self, CoreState, Counters, HitUndo, HotCore, L1Write, MemorySide, ScheduleCounts,
+};
 use cmp_cache::{
     AccessKind, AccessOutcome, Addr, CacheGeometry, CacheLine, CoreId, FillKind, InsertPos,
     LineAddr, LlcPolicy, MesiState, NullProbe, ObsEvent, ObsProbe, SetAssocCache, SetIdx,
@@ -154,6 +156,9 @@ pub struct CmpSystem<P: ObsProbe = NullProbe> {
     /// [`on_cycle`](LlcPolicy::on_cycle) is due (0 until the first call).
     next_cycle: Vec<u64>,
     l2_modified: ModifiedSlots,
+    /// The current access's writes to other cores' L1s, in order, for the
+    /// event loop to apply (see [`MemorySide::access`]).
+    l1_writes: Vec<L1Write>,
 }
 
 impl<P: ObsProbe> std::fmt::Debug for CmpSystem<P> {
@@ -240,6 +245,7 @@ impl<P: ObsProbe> CmpSystem<P> {
             epoch_counter: 0,
             epoch_index: 0,
             drain_buf: Vec::new(),
+            l1_writes: Vec::new(),
         }
     }
 
@@ -341,6 +347,15 @@ impl<P: ObsProbe> CmpSystem<P> {
         self.cores.iter().map(|c| c.counters.l1_accesses).sum()
     }
 
+    /// How the event loop executed this system's accesses since it was
+    /// built or restored: events, run-aheads, pure hits and rewinds. The
+    /// counts are deterministic for given sources, targets and hook
+    /// period. Like [`total_accesses`](CmpSystem::total_accesses), only
+    /// consistent from run hooks or after a run returns.
+    pub fn schedule_counts(&self) -> ScheduleCounts {
+        timing::schedule_counts(&self.cores)
+    }
+
     /// Counters accumulated since construction, with *no* warm-up
     /// subtraction — the whole-lifetime view, usable at any point.
     ///
@@ -361,57 +376,6 @@ impl<P: ObsProbe> CmpSystem<P> {
     /// tests), through the batched loop's own per-access body.
     pub fn step(&mut self, i: usize) {
         timing::step(self, i);
-    }
-
-    /// Full structural-invariant sweep, run after every access under the
-    /// `debug-invariants` feature.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any MESI, recency, spilled-last-copy or policy-internal
-    /// invariant violation.
-    #[cfg(feature = "debug-invariants")]
-    fn debug_check_invariants(&self) {
-        let mut problems: Vec<String> = cmp_coherence::check_mesi(&self.l2s)
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
-        problems.extend(
-            cmp_coherence::check_recency(&self.l1s)
-                .iter()
-                .chain(cmp_coherence::check_recency(&self.l2s).iter())
-                .map(|v| v.to_string()),
-        );
-        // Replication grants replicas while the supplier keeps its spilled
-        // copy, so the last-copy property only holds under migration.
-        if self.cfg.read_policy == ReadPolicy::Migrate {
-            problems.extend(
-                cmp_coherence::check_spilled_last_copies(&self.l2s)
-                    .iter()
-                    .map(|v| v.to_string()),
-            );
-        }
-        problems.extend(self.policy.check_invariants());
-        for (i, l1) in self.l1s.iter().enumerate() {
-            for s in 0..l1.geometry().sets() {
-                for (w, line) in l1.set(SetIdx(s)).iter() {
-                    let state = self.l2s[i].state_of(line.addr);
-                    if self.l2_modified.get(i, SetIdx(s), w) && state != Some(MesiState::Modified) {
-                        problems.push(format!(
-                            "core {i}: L1 slot ({s}, {}) marked Modified below, but the L2 \
-                             holds {:?} in {state:?}",
-                            w.index(),
-                            line.addr
-                        ));
-                    }
-                }
-            }
-        }
-        assert!(
-            problems.is_empty(),
-            "invariants violated after step: {}",
-            problems.join("; ")
-        );
     }
 
     /// Moves any events the policy buffered during this step into the
@@ -481,11 +445,7 @@ impl<P: ObsProbe> CmpSystem<P> {
             let hit = self.fabric.write_miss(&mut self.l2s, core, line);
             if hit.is_some() {
                 // Every remote copy vanished: keep the L1s inclusive.
-                for (j, l1) in self.l1s.iter_mut().enumerate() {
-                    if j != i {
-                        l1.invalidate(line);
-                    }
-                }
+                self.invalidate_peer_l1s(i, line);
             }
             hit
         } else {
@@ -496,13 +456,19 @@ impl<P: ObsProbe> CmpSystem<P> {
                 let from = h.from.index();
                 match self.cfg.read_policy {
                     ReadPolicy::Migrate => {
-                        self.l1s[from].invalidate(line);
+                        self.invalidate_peer_l1(from, line);
                     }
                     // The supplier keeps its L1 line, but a Modified copy
                     // is now Shared: its next store must upgrade again.
                     ReadPolicy::Replicate if h.line.state == MesiState::Modified => {
-                        if let Some((s, w)) = self.l1s[from].probe(line) {
-                            self.l2_modified.put(from, s, w, false);
+                        if let Some((set, way)) = self.l1s[from].probe(line) {
+                            if self.l2_modified.get(from, set, way) {
+                                self.l1_writes.push(L1Write::ClearModified {
+                                    core: from,
+                                    set,
+                                    way,
+                                });
+                            }
                         }
                     }
                     ReadPolicy::Replicate => {}
@@ -559,7 +525,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                             });
                         }
                         if let Some(v2) = evicted2 {
-                            self.l1s[hit.from.index()].invalidate(v2.addr);
+                            self.invalidate_peer_l1(hit.from.index(), v2.addr);
                             self.retire(hit.from.index(), v2);
                         }
                     } else {
@@ -599,6 +565,26 @@ impl<P: ObsProbe> CmpSystem<P> {
         (latency, fill_l1)
     }
 
+    /// Records the invalidation of `line` in core `j`'s L1, another core's
+    /// than the accessing one, if it holds the line. Nothing in an access
+    /// adds a line to another core's L1, so a line absent now is absent
+    /// when the event loop applies the write.
+    fn invalidate_peer_l1(&mut self, j: usize, line: LineAddr) {
+        if self.l1s[j].probe(line).is_some() {
+            self.l1_writes.push(L1Write::Invalidate { core: j, line });
+        }
+    }
+
+    /// [`invalidate_peer_l1`](Self::invalidate_peer_l1) for every core but
+    /// `i`: a peer's write took every other copy.
+    fn invalidate_peer_l1s(&mut self, i: usize, line: LineAddr) {
+        for j in 0..self.l1s.len() {
+            if j != i {
+                self.invalidate_peer_l1(j, line);
+            }
+        }
+    }
+
     /// A store hitting a line that is not Modified: invalidate any remote
     /// copies (upgrade) and mark Modified. Returns whether `i`'s L2 copy is
     /// now Modified.
@@ -611,11 +597,7 @@ impl<P: ObsProbe> CmpSystem<P> {
             }
             Some(MesiState::Shared) => {
                 self.fabric.write_miss(&mut self.l2s, CoreId(i as u8), line);
-                for (j, l1) in self.l1s.iter_mut().enumerate() {
-                    if j != i {
-                        l1.invalidate(line);
-                    }
-                }
+                self.invalidate_peer_l1s(i, line);
                 self.l2s[i].set_state(line, MesiState::Modified);
                 true
             }
@@ -692,7 +674,7 @@ impl<P: ObsProbe> CmpSystem<P> {
                     });
                 }
                 if let Some(v2) = evicted {
-                    self.l1s[to.index()].invalidate(v2.addr);
+                    self.invalidate_peer_l1(to.index(), v2.addr);
                     // No cascaded spills: the displaced line retires.
                     self.retire(to.index(), v2);
                 }
@@ -1117,6 +1099,10 @@ impl<P: ObsProbe> MemorySide for CmpSystem<P> {
     /// clock runs only once due, and an observed run forwards policy events
     /// and checks the epoch boundary only after an L2 access or a clock
     /// call, the only places that buffer events or move the epoch counter.
+    ///
+    /// Six sites write another core's L1: the write-miss and upgrade
+    /// invalidation loops, the Migrate supplier, the Replicate bit clear,
+    /// the swap victim and the spill victim. They record into `l1_writes`.
     #[inline(always)]
     fn access(
         &mut self,
@@ -1166,12 +1152,112 @@ impl<P: ObsProbe> MemorySide for CmpSystem<P> {
                 self.epoch_index += 1;
             }
         }
+    }
+
+    /// An L1 hit whose load, or store to a line known Modified in the L2,
+    /// needs nothing below L1, while the policy clock is not due.
+    #[inline(always)]
+    fn pure_hit(&mut self, i: usize, clock: f64, addr: Addr, kind: AccessKind) -> Option<HitUndo> {
+        // Most accesses that are not pure hits miss L1: probe first.
+        let l1 = &mut self.l1s[i];
+        let (set, way) = l1.probe(addr.line(self.cfg.l1.offset_bits()))?;
+        if kind.is_store() && !self.l2_modified.get(i, set, way)
+            || clock as u64 >= self.next_cycle[i]
+        {
+            return None;
+        }
+        let word = l1.hit_at(set, way);
         #[cfg(feature = "debug-invariants")]
-        self.debug_check_invariants();
+        timing::check_set_recency(l1, set);
+        Some(HitUndo { set, word })
+    }
+
+    fn undo_hit(&mut self, i: usize, undo: HitUndo) {
+        self.l1s[i].undo_hit(undo.set, undo.word);
+        #[cfg(feature = "debug-invariants")]
+        timing::check_set_recency(&self.l1s[i], undo.set);
+    }
+
+    fn foreign_writes(&self) -> &[L1Write] {
+        &self.l1_writes
+    }
+
+    fn foreign_write_changes(&self, w: L1Write) -> bool {
+        match w {
+            L1Write::Invalidate { core, line } => self.l1s[core].probe(line).is_some(),
+            L1Write::ClearModified { core, set, way } => self.l2_modified.get(core, set, way),
+        }
+    }
+
+    fn apply_foreign_write(&mut self, w: L1Write) {
+        match w {
+            L1Write::Invalidate { core, line } => {
+                self.l1s[core].invalidate(line);
+            }
+            L1Write::ClearModified { core, set, way } => {
+                self.l2_modified.put(core, set, way, false)
+            }
+        }
+    }
+
+    fn clear_foreign_writes(&mut self) {
+        self.l1_writes.clear();
     }
 
     fn on_all_warm(&mut self) {
         self.global_warm.get_or_insert(self.global);
+    }
+
+    /// Full structural-invariant sweep, run after every event and every
+    /// rewind under the `debug-invariants` feature (a pure hit checks the
+    /// one recency word it changed).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any MESI, recency, spilled-last-copy or policy-internal
+    /// invariant violation.
+    #[cfg(feature = "debug-invariants")]
+    fn check_invariants(&self) {
+        let mut problems: Vec<String> = cmp_coherence::check_mesi(&self.l2s)
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        problems.extend(
+            cmp_coherence::check_recency(&self.l1s)
+                .iter()
+                .chain(cmp_coherence::check_recency(&self.l2s).iter())
+                .map(|v| v.to_string()),
+        );
+        // Replication grants replicas while the supplier keeps its spilled
+        // copy, so the last-copy property only holds under migration.
+        if self.cfg.read_policy == ReadPolicy::Migrate {
+            problems.extend(
+                cmp_coherence::check_spilled_last_copies(&self.l2s)
+                    .iter()
+                    .map(|v| v.to_string()),
+            );
+        }
+        problems.extend(self.policy.check_invariants());
+        for (i, l1) in self.l1s.iter().enumerate() {
+            for s in 0..l1.geometry().sets() {
+                for (w, line) in l1.set(SetIdx(s)).iter() {
+                    let state = self.l2s[i].state_of(line.addr);
+                    if self.l2_modified.get(i, SetIdx(s), w) && state != Some(MesiState::Modified) {
+                        problems.push(format!(
+                            "core {i}: L1 slot ({s}, {}) marked Modified below, but the L2 \
+                             holds {:?} in {state:?}",
+                            w.index(),
+                            line.addr
+                        ));
+                    }
+                }
+            }
+        }
+        assert!(
+            problems.is_empty(),
+            "invariants violated after step: {}",
+            problems.join("; ")
+        );
     }
 }
 
@@ -1463,11 +1549,6 @@ mod tests {
     fn a_store_after_a_replicate_read_upgrades_again() {
         use cmp_trace::Access;
         let x = Addr::new(0x4000);
-        let scripted = |accesses: Vec<Access>| {
-            let mut w = workload(0, 512);
-            w.stream = Box::new(Script(accesses));
-            w
-        };
         let mut cfg = tiny_cfg(2);
         cfg.read_policy = ReadPolicy::Replicate;
         let mut sys = CmpSystem::from_sources(
@@ -1490,6 +1571,152 @@ mod tests {
         assert!(sys.l1s()[1].probe(line).is_none(), "peer L1 copy survived");
         assert_eq!(sys.total_accesses(), 4);
         assert_eq!(sys.cores[0].counters.l1_hits, 2);
+    }
+
+    /// The spec's scheduler written out: before each of `n` accesses,
+    /// [`step`](CmpSystem::step) the core with the lowest clock, ties to
+    /// the lowest index.
+    fn step_in_clock_order(sys: &mut CmpSystem, n: u64) {
+        for _ in 0..n {
+            let i = sys
+                .cores
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.clock.total_cmp(&b.1.clock))
+                .map(|(i, _)| i)
+                .expect("at least one core");
+            sys.step(i);
+        }
+    }
+
+    /// Stops the event loop after exactly `n` accesses in clock order.
+    /// Neither warm-up nor end is ever reached, so the state is comparable
+    /// with [`step_in_clock_order`]'s through [`CmpSystem::snapshot`].
+    fn run_to(sys: &mut CmpSystem, n: u64) {
+        let stopped = sys.try_run_batched(u64::MAX, u64::MAX, n, |_| false);
+        assert!(stopped.is_none(), "the hook stops the run");
+    }
+
+    /// For every `n` in `1..=max`: the event loop stopped after `n`
+    /// accesses is in the state of `n` literal clock-order steps, and at
+    /// the largest `n` it took back at least one run-ahead hit.
+    fn assert_every_stop_matches_clock_order(build: impl Fn() -> CmpSystem, max: u64) {
+        for n in 1..=max {
+            let mut batched = build();
+            run_to(&mut batched, n);
+            let mut reference = build();
+            step_in_clock_order(&mut reference, n);
+            assert_eq!(batched.total_accesses(), n);
+            assert!(
+                batched.snapshot() == reference.snapshot(),
+                "the event loop diverges from the clock order after {n} accesses"
+            );
+            assert_eq!(
+                batched.l2_modified.bits, reference.l2_modified.bits,
+                "n {n}"
+            );
+            if n == max {
+                let counts = batched.schedule_counts();
+                assert!(counts.rewinds > 0, "no rewind exercised: {counts:?}");
+                assert_eq!(counts.events + counts.pure_hits - counts.rewound_hits, n);
+            }
+        }
+    }
+
+    fn scripted(accesses: Vec<cmp_trace::Access>) -> CoreWorkload {
+        let mut w = workload(0, 512);
+        w.stream = Box::new(Script(accesses));
+        w
+    }
+
+    #[test]
+    fn a_write_ordered_before_run_ahead_hits_rewinds_them() {
+        use cmp_trace::Access;
+        // Core 1 misses on X, then keeps hitting it in L1 and runs far
+        // ahead; core 0 misses on A and then, at a lower clock than most
+        // of those hits, writes X. Its write takes core 1's copies, so
+        // core 1's next access to X, in clock order, must miss.
+        let x = Addr::new(0x4000);
+        let a = Addr::new(0x8000);
+        let build = || {
+            let mut cfg = tiny_cfg(2);
+            cfg.read_policy = ReadPolicy::Replicate;
+            CmpSystem::from_sources(
+                cfg,
+                Box::new(PrivateBaseline::new()),
+                vec![
+                    scripted(vec![Access::load(a, 0), Access::store(x, 0)]),
+                    scripted(vec![Access::load(x, 0)]),
+                ],
+            )
+        };
+        // Clock order: core 0's A and core 1's X at clock 0, core 0's
+        // store at 464, then core 1's next access at 464.
+        let mut sys = build();
+        run_to(&mut sys, 4);
+        let c1 = sys.cores[1].counters;
+        assert_eq!((c1.l1_accesses, c1.l1_hits, c1.l2_accesses), (2, 0, 2));
+        assert_eq!(c1.l2_remote_hits, 1, "core 1 re-reads X from core 0");
+        assert_every_stop_matches_clock_order(build, 200);
+    }
+
+    /// Spills every line core 0 evicts into core 1, at core 1's MRU.
+    struct SpillTo1(PrivateBaseline);
+
+    impl LlcPolicy for SpillTo1 {
+        fn name(&self) -> &str {
+            "spill-to-1"
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn record_access(&mut self, core: CoreId, set: SetIdx, outcome: AccessOutcome) {
+            self.0.record_access(core, set, outcome);
+        }
+
+        fn spill_decision(&mut self, from: CoreId, _set: SetIdx, _v: SpillVictim) -> SpillDecision {
+            if from == CoreId(0) {
+                SpillDecision::Spill(CoreId(1))
+            } else {
+                SpillDecision::NotSpiller
+            }
+        }
+    }
+
+    #[test]
+    fn a_spill_that_evicts_a_run_ahead_line_rewinds_its_hits() {
+        use cmp_trace::Access;
+        // Every line here maps to L2 set 0 (and L1 set 0). Core 1 fills Y
+        // and then only hits it in L1, so Y sinks to the LRU of its L2
+        // set. Core 0 misses on a stream of lines: once its own set is
+        // full, each victim spills into core 1's set at MRU, and the
+        // fourth spill evicts Y from core 1's L2 and L1 while core 1 has
+        // run ahead on hits to Y.
+        // Core 1 commits 50 instructions per access, so core 0's misses
+        // take about a tenth of the accesses.
+        let y = Addr::new(1 << 20);
+        let build = || {
+            let stream = (1..=12u64).map(|k| Access::load(Addr::new(k << 12), 0));
+            let mut hitter = scripted(vec![Access::load(y, 0)]);
+            hitter.cpu.mem_fraction = 0.02;
+            CmpSystem::from_sources(
+                tiny_cfg(2),
+                Box::new(SpillTo1(PrivateBaseline::new())),
+                vec![scripted(stream.collect()), hitter],
+            )
+        };
+        let mut sys = build();
+        run_to(&mut sys, 400);
+        let line = y.line(sys.cfg.l1.offset_bits());
+        assert!(sys.global.spills >= 4, "{:?}", sys.global);
+        assert!(
+            sys.cores[1].counters.l2_accesses >= 2,
+            "core 1 refetched Y after the spill evicted it"
+        );
+        assert!(sys.l2(CoreId(1)).probe(line).is_some());
+        assert_every_stop_matches_clock_order(build, 400);
     }
 
     struct StoreEverything(CyclicStream);

@@ -7,15 +7,18 @@
 //! takes expected O(1) steps and still returns exactly the rank a binary
 //! search of the same CDF would.
 //!
-//! Tables are immutable and shared: every live [`Zipf`] of one `(n, α)`
-//! reads the same table, handed out by a process-wide registry of weak
-//! references, so a mix of 64 cores builds each table once and keeps one
-//! copy resident. Each stream still owns its RNG, so sharing changes no
-//! sample.
+//! Tables are immutable and shared: every [`Zipf`] of one `(n, α)` reads
+//! the same table, handed out by a process-wide registry that keeps each
+//! table it builds for the life of the process. So a mix of 64 cores
+//! builds each table once and keeps one copy resident, and a system built
+//! again later (a benchmark round, a sweep point) builds none: how long a
+//! set-up takes does not depend on whether an older system still holds
+//! its streams. The shipped workloads' tables total about 10 MB at 12 B
+//! per rank. Each stream still owns its RNG, so sharing changes no sample.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One `(n, α)`'s inverse-CDF table and its guide.
 struct Table {
@@ -81,28 +84,23 @@ impl Table {
     }
 }
 
-/// The live tables, keyed by `(n, α.to_bits())`. An entry whose table has
-/// been dropped is pruned at the next insert.
-type Registry = Vec<((usize, u64), Weak<Table>)>;
+/// Every table built so far, keyed by `(n, α.to_bits())`, kept for the
+/// life of the process.
+type Registry = Vec<((usize, u64), Arc<Table>)>;
 
 static TABLES: Mutex<Registry> = Mutex::new(Vec::new());
 
-/// The live table of `(n, alpha)`, built and registered if there is none.
-/// The build runs under the registry lock, so concurrent builders of one
-/// table all get the same one.
+/// The table of `(n, alpha)`, built and registered on first use. The build
+/// runs under the registry lock, so concurrent builders of one table all
+/// get the same one.
 fn shared_table(n: usize, alpha: f64) -> Arc<Table> {
     let key = (n, alpha.to_bits());
     let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(table) = tables
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, t)| t.upgrade())
-    {
-        return table;
+    if let Some((_, table)) = tables.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(table);
     }
     let table = Arc::new(Table::build(n, alpha));
-    tables.retain(|(k, t)| *k != key && t.strong_count() > 0);
-    tables.push((key, Arc::downgrade(&table)));
+    tables.push((key, Arc::clone(&table)));
     table
 }
 
@@ -254,16 +252,18 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_table_is_freed_and_unregistered() {
+    fn a_table_is_built_once_per_key_per_process() {
         let key = (1001, 0.31f64.to_bits());
         let z = Zipf::new(1001, 0.31);
-        let weak = Arc::downgrade(&z.table);
+        let first = Arc::as_ptr(&z.table);
         drop(z);
-        assert!(weak.upgrade().is_none(), "no stream holds the table");
-        // The next insert prunes the dead entry.
+        // No stream holds the table now; the next one of its shape still
+        // gets it, while other shapes are built beside it.
         let _other = Zipf::new(1002, 0.31);
+        let again = Zipf::new(1001, 0.31);
+        assert_eq!(Arc::as_ptr(&again.table), first, "the table was rebuilt");
         let tables = TABLES.lock().unwrap();
-        assert!(tables.iter().all(|(k, _)| *k != key));
+        assert_eq!(tables.iter().filter(|(k, _)| *k == key).count(), 1);
     }
 
     #[test]

@@ -827,8 +827,19 @@ pub fn dump_case(case: &DiffCase) -> String {
     s
 }
 
-/// Parses the [`dump_case`] format back into a case.
+/// Parses the [`dump_case`] format back into a case. A file may also
+/// carry `interleave <n>` lines, which [`parse_repro`] returns and this
+/// ignores.
 pub fn parse_case(text: &str) -> Result<DiffCase, String> {
+    parse_repro(text).map(|(case, _)| case)
+}
+
+/// Parses a repro file: the case, and the access counts of its
+/// `interleave <n>` lines, at each of which [`repro_file`] also stops the
+/// batched event loop and compares it with the oracle's interleave
+/// ([`run_case_interleaved`]).
+pub fn parse_repro(text: &str) -> Result<(DiffCase, Vec<u64>), String> {
+    let mut interleave = Vec::new();
     let mut cores = None;
     let mut l2_sets_log2 = None;
     let mut l2_ways = None;
@@ -919,6 +930,10 @@ pub fn parse_case(text: &str) -> Result<DiffCase, String> {
                     line: want(&mut f, "op line")? as u32,
                     store: want(&mut f, "op store")? != 0,
                 }),
+                "interleave" => match want(&mut f, "interleave count")? {
+                    0 => return Err("interleave count must be >= 1".to_string()),
+                    n => interleave.push(n),
+                },
                 other => return Err(format!("unknown key {other:?}")),
             }
             Ok(())
@@ -936,7 +951,7 @@ pub fn parse_case(text: &str) -> Result<DiffCase, String> {
         ops,
     };
     validate_case(&case)?;
-    Ok(case)
+    Ok((case, interleave))
 }
 
 /// Rejects semantically invalid cases (a truncated or hand-edited `.case`
@@ -992,11 +1007,16 @@ fn validate_case(case: &DiffCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Replays a dumped case file; `Ok` means both engines still agree.
+/// Replays a dumped case file, in lockstep and then through the batched
+/// event loop at each of its `interleave` counts; `Ok` means both engines
+/// still agree.
 pub fn repro_file(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let case = parse_case(&text)?;
-    run_case(&case)
+    let (case, interleave) = parse_repro(&text)?;
+    run_case(&case)?;
+    interleave
+        .into_iter()
+        .try_for_each(|n| run_case_interleaved(&case, n))
 }
 
 fn fnv(text: &str) -> u64 {
@@ -1216,6 +1236,15 @@ mod tests {
         let err = parse_case(&with("broadcast")).unwrap_err();
         assert!(err.contains("fabric"), "{err}");
         assert!(parse_case(&with("")).is_err());
+    }
+
+    #[test]
+    fn interleave_counts_parse_and_are_checked() {
+        let text = dump_case(&sample_case()) + "interleave 5\ninterleave 9\n";
+        assert_eq!(parse_repro(&text), Ok((sample_case(), vec![5, 9])));
+        assert_eq!(parse_case(&text), Ok(sample_case()));
+        let zero = dump_case(&sample_case()) + "interleave 0\n";
+        assert!(parse_repro(&zero).unwrap_err().contains("interleave"));
     }
 
     #[test]

@@ -333,6 +333,60 @@ fn batched_scheduler_matches_oracle_interleave_at_twelve_cores() {
     assert_continuing_hooks_move_nothing(&case, N);
 }
 
+/// Small fixed cases on which cores run ahead on L1 hits while their
+/// peers write the same lines. Core 0 cycles over two lines, one per L1
+/// set, and stores to them, so its L1 hits include store hits on its own
+/// Modified lines. Core 1 stores to core 0's first line and reads its
+/// second, taking or downgrading core 0's copies. Core 2 streams lines
+/// through one L2 set, so evictions and spills reach the other cores'
+/// L1s. One case migrates read hits, one replicates them.
+fn run_ahead_cases() -> Vec<DiffCase> {
+    let mut ops = Vec::new();
+    for k in 0..24u32 {
+        ops.push((0, k % 2, k % 5 == 3));
+    }
+    for k in 0..6u32 {
+        ops.push((1, 8 + k % 3, false));
+        ops.push((1, if k % 2 == 0 { 0 } else { 1 }, k % 2 == 0));
+    }
+    for k in 0..10u32 {
+        ops.push((2, 4 * k, k % 4 == 1));
+    }
+    [(true, 16), (false, 40)]
+        .into_iter()
+        .map(|(migrate, mem_q)| {
+            make_case(
+                (3, 2, 2, migrate, mem_q, 1),
+                DiffPolicy::Ascc {
+                    variant: 0,
+                    swap: true,
+                    seed: 0x5EED,
+                },
+                ops.clone(),
+            )
+        })
+        .collect()
+}
+
+/// The batched loop stopped after every `n` up to 320 accesses is in the
+/// oracle interleave's state after `n`: each stop is a hook that must land
+/// exactly on the `n`-th access in clock order, whatever hits ran ahead of
+/// it, and the run-ahead hits that peers' writes overtake are rewound.
+#[test]
+fn batched_scheduler_matches_oracle_interleave_at_every_stop() {
+    for case in run_ahead_cases() {
+        for n in 1..=320 {
+            if let Err(e) = diff::run_case_interleaved(&case, n) {
+                panic!("migrate {}: {e}", case.migrate);
+            }
+        }
+        let mut real = diff::build_real(&case);
+        assert!(real.try_run_batched(u64::MAX, 0, 320, |_| false).is_none());
+        let counts = real.schedule_counts();
+        assert!(counts.rewinds > 0, "migrate {}: {counts:?}", case.migrate);
+    }
+}
+
 /// Stops one run of `case` after `n` global accesses and another at the
 /// same access after three continuing hooks (one every `n / 4`): the two
 /// end-state snapshots must match. A hook may move anything, so the
